@@ -13,9 +13,8 @@
 //!   generations.
 //!
 //! The paper treats the GA's result as "optimal" for ratio computations;
-//! so do we. Fitness evaluation parallelises across a crossbeam scope.
+//! so do we. Fitness evaluation parallelises across a scoped-thread pool.
 
-use crossbeam::thread;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use score_core::{Allocation, CostModel};
@@ -188,16 +187,15 @@ impl<'a> GeneticOptimizer<'a> {
         }
         let chunk = pop.len().div_ceil(self.config.threads);
         let mut costs = vec![0.0; pop.len()];
-        thread::scope(|s| {
+        std::thread::scope(|s| {
             for (slot, genomes) in costs.chunks_mut(chunk).zip(pop.chunks(chunk)) {
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for (c, g) in slot.iter_mut().zip(genomes) {
                         *c = self.genome_cost(g);
                     }
                 });
             }
-        })
-        .expect("fitness workers must not panic");
+        });
         costs
     }
 

@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use score_bench::bench_world;
-use score_core::{CostModel, LocalView, ScoreConfig, ScoreEngine};
+use score_core::{CostModel, KernelScratch, LocalView, ScoreConfig, ScoreEngine};
 use score_topology::{LinkWeights, VmId};
 
 fn bench_ablations(c: &mut Criterion) {
@@ -24,6 +24,7 @@ fn bench_ablations(c: &mut Criterion) {
             BenchmarkId::new("decision_with_budget", budget),
             &budget,
             |b, _| {
+                let mut scratch = KernelScratch::new();
                 b.iter(|| {
                     let view = LocalView::observe(
                         VmId::new(3),
@@ -31,7 +32,7 @@ fn bench_ablations(c: &mut Criterion) {
                         &traffic,
                         cluster.topo(),
                     );
-                    engine.decide(&view, &cluster)
+                    engine.decide_scored_with(&view, None, &cluster, &mut scratch)
                 })
             },
         );
@@ -47,6 +48,7 @@ fn bench_ablations(c: &mut Criterion) {
             BenchmarkId::new("decision_bandwidth", label),
             &threshold,
             |b, _| {
+                let mut scratch = KernelScratch::new();
                 b.iter(|| {
                     let view = LocalView::observe(
                         VmId::new(3),
@@ -54,7 +56,7 @@ fn bench_ablations(c: &mut Criterion) {
                         &traffic,
                         cluster.topo(),
                     );
-                    engine.decide(&view, &cluster)
+                    engine.decide_scored_with(&view, None, &cluster, &mut scratch)
                 })
             },
         );

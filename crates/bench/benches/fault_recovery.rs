@@ -20,7 +20,7 @@
 //! Run with `cargo bench --bench fault_recovery`.
 
 use criterion::{black_box, Criterion};
-use score_sim::{Scenario, Session};
+use score_sim::{EventOutcome, FaultOutcome, Scenario, Session};
 use score_topology::{ServerId, VmId};
 use score_trace::{fault_storm_events, FaultSpec, TraceEvent};
 use score_traffic::TrafficIntensity;
@@ -52,15 +52,30 @@ struct FaultPoint {
     slo_violating_s: f64,
 }
 
+/// Crashes `server` at the current drained boundary; only the
+/// `apply_trace_event` call sits inside `timed_s`.
+fn crash(session: &mut Session, server: ServerId, timed_s: &mut f64) -> FaultOutcome {
+    session.advance_to(session.now_s());
+    let event = TraceEvent::HostCrash {
+        server: server.get(),
+    };
+    let start = Instant::now();
+    let outcome = session.apply_trace_event(&event).expect("crash applies");
+    *timed_s += start.elapsed().as_secs_f64();
+    match outcome {
+        EventOutcome::Faulted(outcome) => outcome,
+        other => panic!("a crash produced {other:?}"),
+    }
+}
+
 /// Crashes a spread of populated hosts at drained boundaries, timing
-/// only the `apply_fault` calls; then replays the default storm on a
+/// only the `apply_trace_event` calls; then replays the default storm on a
 /// fresh session for the recovery clock.
 fn measure() -> FaultPoint {
     let mut session = paper_session();
     let hosts = session.topo().num_servers();
     let vms = session.traffic().num_vms();
     session.run(1);
-    session.drain_to_boundary();
 
     // Evacuation latency: crash the hosts of a VM sample (guaranteed
     // populated), one at a time.
@@ -72,16 +87,7 @@ fn measure() -> FaultPoint {
             continue; // retired by an earlier crash (unplaceable)
         }
         let server: ServerId = session.cluster().allocation().server_of(vm);
-        session.drain_to_boundary();
-        let start = Instant::now();
-        let outcome = black_box(
-            session
-                .apply_fault(&TraceEvent::HostCrash {
-                    server: server.get(),
-                })
-                .expect("crash applies"),
-        );
-        timed_s += start.elapsed().as_secs_f64();
+        let outcome = black_box(crash(&mut session, server, &mut timed_s));
         evacuations += outcome.evacuated.len() as u64 + outcome.unplaceable.len() as u64;
     }
     assert_eq!(
@@ -120,7 +126,6 @@ fn bench_faults(c: &mut Criterion) {
     group.sample_size(10);
     let mut session = paper_session();
     session.run(1);
-    session.drain_to_boundary();
     let num_vms = session.traffic().num_vms();
     let mut next_vm = 0u32;
     group.bench_function("host_crash_evacuation/canonical-2560", |b| {
@@ -133,14 +138,7 @@ fn bench_faults(c: &mut Criterion) {
             }
             next_vm = vm.wrapping_add(127);
             let server = session.cluster().allocation().server_of(VmId::new(vm));
-            session.drain_to_boundary();
-            black_box(
-                session
-                    .apply_fault(&TraceEvent::HostCrash {
-                        server: server.get(),
-                    })
-                    .unwrap(),
-            )
+            black_box(crash(&mut session, server, &mut 0.0))
         })
     });
     group.finish();

@@ -5,11 +5,13 @@
 //! root:
 //!
 //! 1. **Per-decision latency** at the paper's 2560-host scale (5120
-//!    VMs): one full token-holder decision — observe the local view,
-//!    build the `TrafficOutlook`, run `ScoreEngine::decide_outlook` —
-//!    with the outlook off (reactive), EWMA-forecasted, and
-//!    oracle-forecasted. The outlook layer must stay cheap enough that
-//!    forecasting is a policy question, not a throughput one.
+//!    VMs): one full token-holder decision on the ring's kernel path —
+//!    observe the local view into reused buffers, re-rate it to the
+//!    peak-demand envelope (`OutlookContext::decision_view_into`), run
+//!    `ScoreEngine::decide_scored_with` — with the outlook off
+//!    (reactive), EWMA-forecasted, and oracle-forecasted. The outlook
+//!    layer must stay cheap enough that forecasting is a policy
+//!    question, not a throughput one.
 //! 2. **C_A trajectory deltas** on a flash-crowd trace (CI scale, fast
 //!    token timing so lookahead spans iterations): the same scenario
 //!    run reactive, EWMA and oracle, comparing the time-averaged cost
@@ -21,11 +23,13 @@
 //! Run with `cargo bench --bench forecast_decisions`.
 
 use criterion::{black_box, Criterion};
-use score_core::{LocalView, OutlookContext, ScoreEngine};
+use score_core::{
+    Cluster, KernelScratch, LocalView, MigrationDecision, OutlookContext, ScoreEngine,
+};
 use score_sim::{ForecastSpec, RunReport, Scenario, TimingSpec, TopologySpec, TraceSpec};
 use score_topology::VmId;
 use score_trace::{FlashCrowdShape, OracleForecaster, Trace, TraceEvent};
-use score_traffic::{EwmaForecaster, RateForecaster, TrafficIntensity};
+use score_traffic::{EwmaForecaster, PairTraffic, RateForecaster, TrafficIntensity};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -58,7 +62,41 @@ struct TrajectoryPoint {
     preempted: u64,
 }
 
-/// Measures ns per full decision (observe → outlook → decide) over the
+/// The reusable buffers of one decision on the ring's kernel path.
+#[derive(Default)]
+struct DecisionBuffers {
+    view: LocalView,
+    decision_view: LocalView,
+    predicted: Vec<f64>,
+    kernel: KernelScratch,
+}
+
+/// One full token-holder decision for `vm`, taken the way
+/// `TokenRing::step_outlook` takes it: observe into reused buffers,
+/// re-rate to the peak envelope when `ctx` forecasts, run the kernel.
+fn decide(
+    engine: &ScoreEngine,
+    ctx: &OutlookContext<'_>,
+    vm: VmId,
+    cluster: &Cluster,
+    traffic: &PairTraffic,
+    buf: &mut DecisionBuffers,
+) -> MigrationDecision {
+    buf.view
+        .observe_into(vm, cluster.allocation(), traffic, cluster.topo());
+    if ctx.decision_view_into(&buf.view, &mut buf.predicted, &mut buf.decision_view) {
+        engine.decide_scored_with(
+            &buf.decision_view,
+            Some(&buf.view),
+            cluster,
+            &mut buf.kernel,
+        )
+    } else {
+        engine.decide_scored_with(&buf.view, None, cluster, &mut buf.kernel)
+    }
+}
+
+/// Measures ns per full decision (observe → envelope → kernel) over the
 /// first `reps` token holders of the paper-scale canonical tree.
 fn measure_latency(mode: &'static str, forecaster: Option<&dyn RateForecaster>) -> LatencyPoint {
     let scenario = Scenario::builder()
@@ -74,12 +112,11 @@ fn measure_latency(mode: &'static str, forecaster: Option<&dyn RateForecaster>) 
         None => OutlookContext::reactive(),
     };
     let reps = 2000u32;
+    let mut buf = DecisionBuffers::default();
     let start = Instant::now();
     for i in 0..reps {
-        let vm = VmId::new(i % traffic.num_vms());
-        let view = LocalView::observe(vm, cluster.allocation(), traffic, cluster.topo());
-        let outlook = ctx.outlook_for(view);
-        black_box(engine.decide_outlook(black_box(&outlook), cluster));
+        let vm = black_box(VmId::new(i % traffic.num_vms()));
+        black_box(decide(&engine, &ctx, vm, cluster, traffic, &mut buf));
     }
     LatencyPoint {
         mode,
@@ -243,19 +280,13 @@ fn bench_forecast(c: &mut Criterion) {
     ewma.prime(traffic, 0.0);
     group.bench_function("decide/reactive", |b| {
         let ctx = OutlookContext::reactive();
-        b.iter(|| {
-            let view =
-                LocalView::observe(VmId::new(0), cluster.allocation(), traffic, cluster.topo());
-            engine.decide_outlook(&ctx.outlook_for(view), cluster)
-        })
+        let mut buf = DecisionBuffers::default();
+        b.iter(|| decide(&engine, &ctx, VmId::new(0), cluster, traffic, &mut buf))
     });
     group.bench_function("decide/ewma", |b| {
         let ctx = OutlookContext::forecast(&ewma, 0.0, ORACLE_HORIZON_S);
-        b.iter(|| {
-            let view =
-                LocalView::observe(VmId::new(0), cluster.allocation(), traffic, cluster.topo());
-            engine.decide_outlook(&ctx.outlook_for(view), cluster)
-        })
+        let mut buf = DecisionBuffers::default();
+        b.iter(|| decide(&engine, &ctx, VmId::new(0), cluster, traffic, &mut buf))
     });
     group.finish();
 }
@@ -271,8 +302,8 @@ fn record(latency: &[LatencyPoint], trajectory: &[TrajectoryPoint]) {
     };
     let mut json = String::from(
         "{\n  \"bench\": \"forecast_decisions\",\n  \
-         \"note\": \"decision_ns is one full token-holder decision (observe -> outlook -> \
-         decide) at 2560 hosts; the trajectory section replays one flash-crowd trace \
+         \"note\": \"decision_ns is one full token-holder decision on the ring's kernel path \
+         (observe -> peak-envelope re-rate -> decide_scored_with, reused buffers) at 2560 hosts; the trajectory section replays one flash-crowd trace \
          reactive vs EWMA vs oracle-forecasted and averages the sampled C_A over the \
          whole run and over the spike-active windows. \
          oracle_spike_cost_vs_reactive < 1 means the oracle's pre-emptive migrations \

@@ -6,7 +6,8 @@
 //! ledger over the changed pairs only — this bench pins the events/sec
 //! the sparse path sustains (single-pair deltas and whole-TM `ScaleAll`
 //! batches, both the expanded per-pair form a compiled trace emits and
-//! the dense `Session::apply_traffic_scale` sweep) and records it in
+//! the dense sweep a `ScaleAll` event takes through
+//! `Session::apply_trace_event`) and records it in
 //! `BENCH_trace_replay.json` at the workspace root.
 //!
 //! The 27,648- and 101,306-host fat-tree points (k = 48 / 74) are only
@@ -18,6 +19,7 @@
 use criterion::{black_box, Criterion};
 use score_sim::{Scenario, Session, TopologySpec};
 use score_topology::VmId;
+use score_trace::TraceEvent;
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -33,7 +35,7 @@ struct ReplayPoint {
     /// path).
     scale_all_ns: f64,
     scale_all_events_per_sec: f64,
-    /// The dense `apply_traffic_scale` sweep (three contiguous passes,
+    /// The dense `ScaleAll` sweep (three contiguous passes,
     /// no per-pair lookups).
     dense_scale_ns: f64,
     dense_scale_events_per_sec: f64,
@@ -107,7 +109,10 @@ fn measure(label: &'static str, topology: TopologySpec) -> ReplayPoint {
     let start = Instant::now();
     for i in 0..dense_reps {
         let f = if i % 2 == 0 { factor } else { 1.0 / factor };
-        black_box(session.apply_traffic_scale(black_box(f)).unwrap());
+        let event = TraceEvent::ScaleAll {
+            factor: black_box(f),
+        };
+        black_box(session.apply_trace_event(&event).unwrap());
     }
     let dense_scale_ns = start.elapsed().as_nanos() as f64 / f64::from(dense_reps);
 
@@ -233,8 +238,10 @@ fn bench_trace_replay(c: &mut Criterion) {
         group.bench_function(format!("dense_scale/{label}"), |b| {
             b.iter(|| {
                 flip ^= 1;
-                let f = if flip == 0 { 1.02 } else { 1.0 / 1.02 };
-                session.apply_traffic_scale(f).unwrap()
+                let factor = if flip == 0 { 1.02 } else { 1.0 / 1.02 };
+                session
+                    .apply_trace_event(&TraceEvent::ScaleAll { factor })
+                    .unwrap()
             })
         });
     }

@@ -13,12 +13,10 @@
 
 use score_topology::ServerId;
 use score_topology::VmId;
-use score_traffic::PairTraffic;
 use serde::{Deserialize, Serialize};
 
 use crate::cluster::Cluster;
 use crate::cost::CostModel;
-use crate::outlook::{OutlookContext, TrafficOutlook};
 use crate::scratch::KernelScratch;
 use crate::view::{combine_bucketed, LocalView};
 
@@ -138,79 +136,25 @@ impl ScoreEngine {
         &self.cost
     }
 
-    /// Makes the migration decision for the holder described by `view`,
-    /// without mutating anything — the reactive (current-TM) pipeline.
+    /// Makes the migration decision for one token holder without
+    /// mutating anything — the one decision procedure (§V-B5).
     ///
-    /// Candidates are the servers hosting the holder's peers, in descending
-    /// communication-level order; each is capacity-probed; among the
-    /// feasible ones the largest `ΔC` wins, provided it exceeds `c_m`.
-    pub fn decide(&self, view: &LocalView, cluster: &Cluster) -> MigrationDecision {
-        self.decide_scored(view, None, cluster)
-    }
-
-    /// Makes the migration decision for an outlook, without mutating
-    /// anything — the one decision procedure every pipeline step runs.
+    /// Candidates are the servers hosting the peers of `decision_view`,
+    /// ranked "from highest to lowest communication levels" with ties
+    /// towards heavier pairs; each is capacity-probed against the live
+    /// cluster, and among the feasible ones the largest `ΔC` wins,
+    /// provided it exceeds `c_m` (Theorem 1).
     ///
-    /// Candidates come from the outlook's *decision view* (the current
-    /// view for reactive outlooks, the forecast-re-rated view
-    /// otherwise), ranked "from highest to lowest communication levels"
-    /// with ties towards heavier *expected* pairs. Each is
-    /// capacity-probed against the live cluster; among the feasible
-    /// ones the largest expected `ΔC` wins, provided it exceeds `c_m`.
-    ///
-    /// For a reactive outlook this is bit-for-bit the paper's §V-B5
-    /// procedure. With a forecast, selection and acceptance run on
-    /// expected rates while `MigrationDecision::gain` still reports the
+    /// `current` is `None` on the reactive path: `decision_view` *is*
+    /// the current view. With a forecast, `decision_view` carries the
+    /// peak-envelope rates ([`crate::OutlookContext::decision_view_into`])
+    /// and `current` the landed ones: selection and acceptance run on
+    /// expected rates, while [`MigrationDecision::gain`] reports the
     /// current-TM delta of the chosen move (what the cost ledger must
-    /// absorb); `preemptive` flags moves only the forecast justified.
-    pub fn decide_outlook(&self, outlook: &TrafficOutlook, cluster: &Cluster) -> MigrationDecision {
-        let decision_view = outlook.decision_view();
-        let current = outlook.has_forecast().then(|| outlook.view());
-        self.decide_scored(&decision_view, current, cluster)
-    }
-
-    /// The §V-B5 core over the scoring view. `current` is `Some` when
-    /// `decision_view` carries forecasted rates — it then supplies the
-    /// actual current-TM gain and the pre-emptive flag; `None` is the
-    /// reactive path (scoring view *is* the current view, no copies).
+    /// absorb) and `preemptive` flags moves only the forecast justified.
     ///
-    /// This is the *reference* implementation: allocate the ranked
-    /// candidate list, then sweep `delta_for` per candidate. The hot
-    /// path is [`ScoreEngine::decide_scored_with`], which is pinned
-    /// bit-identical to this by proptest.
-    pub fn decide_scored(
-        &self,
-        decision_view: &LocalView,
-        current: Option<&LocalView>,
-        cluster: &Cluster,
-    ) -> MigrationDecision {
-        let mut candidates = decision_view.candidate_servers();
-        if let Some(cap) = self.config.max_candidates {
-            candidates.truncate(cap);
-        }
-        let mut best: Option<(ServerId, f64)> = None;
-        let mut evaluated = 0;
-        let mut rejected = 0;
-        for target in candidates {
-            evaluated += 1;
-            if cluster
-                .can_host(target, decision_view.vm, self.config.bandwidth_threshold)
-                .is_err()
-            {
-                rejected += 1;
-                continue;
-            }
-            let delta = decision_view.delta_for(target, self.cost.weights(), cluster.topo());
-            if delta > self.config.migration_cost && best.is_none_or(|(_, b)| delta > b) {
-                best = Some((target, delta));
-            }
-        }
-        self.finish_decision(best, evaluated, rejected, decision_view, current, cluster)
-    }
-
-    /// The single-pass level-bucketed kernel (§V-B5, restructured).
-    ///
-    /// The Lemma-3 delta decomposes as `2·(before − after(x̂))`:
+    /// The kernel is single-pass and level-bucketed. The Lemma-3 delta
+    /// decomposes as `2·(before − after(x̂))`:
     /// `before = Σ_z λ(z,u)·prefix(ℓ(z,u))` is candidate-independent,
     /// and on topologies exposing [`score_topology::LevelBuckets`] the
     /// `after` term only depends on how much peer rate sits on the
@@ -222,10 +166,11 @@ impl ScoreEngine {
     ///
     /// Per-bucket sums accumulate the same peer subsequences in the
     /// same order as the decomposed `delta_for`, and both paths share
-    /// `combine_bucketed`, so the scores (and therefore
-    /// the decision) are bit-identical to [`ScoreEngine::decide_scored`].
-    /// Topologies without buckets fall back to the `delta_for` sweep,
-    /// still allocation-free.
+    /// `combine_bucketed`, so the scores (and therefore the decision)
+    /// are bit-identical to a per-candidate [`LocalView::delta_for`]
+    /// sweep over [`LocalView::candidate_servers`] — the reference the
+    /// `decision_kernel` proptests pin this against. Topologies without
+    /// buckets take that sweep directly, still allocation-free.
     pub fn decide_scored_with(
         &self,
         decision_view: &LocalView,
@@ -334,26 +279,12 @@ impl ScoreEngine {
             }
         }
         scratch.candidates = candidates;
-        self.finish_decision(best, evaluated, rejected, decision_view, current, cluster)
-    }
-
-    /// Shared tail of both decision paths: current-TM gain, pre-emptive
-    /// flag and the assembled [`MigrationDecision`].
-    fn finish_decision(
-        &self,
-        best: Option<(ServerId, f64)>,
-        evaluated: usize,
-        rejected: usize,
-        decision_view: &LocalView,
-        current: Option<&LocalView>,
-        cluster: &Cluster,
-    ) -> MigrationDecision {
         let (gain, preemptive) = match (best, current) {
             (Some((target, _)), Some(view)) => {
                 // The ledger needs the *actual* delta of the accepted
                 // move; whether the current TM alone would have
                 // justified it decides pre-emptive vs reactive.
-                let actual = view.delta_for(target, self.cost.weights(), cluster.topo());
+                let actual = view.delta_for(target, weights, topo);
                 (actual, actual <= self.config.migration_cost)
             }
             (Some((_, predicted)), None) => (predicted, false),
@@ -369,41 +300,6 @@ impl ScoreEngine {
             rejected_capacity: rejected,
         }
     }
-
-    /// Observes, decides, and applies the migration if warranted. Returns
-    /// the decision and the (pre-migration) local view — the reactive
-    /// pipeline ([`ScoreEngine::step_outlook`] with a reactive context).
-    pub fn step(
-        &self,
-        u: VmId,
-        cluster: &mut Cluster,
-        traffic: &PairTraffic,
-    ) -> (MigrationDecision, LocalView) {
-        let (decision, outlook) =
-            self.step_outlook(u, cluster, traffic, &OutlookContext::reactive());
-        (decision, outlook.into_view())
-    }
-
-    /// Observes, wraps the view into the context's outlook, decides, and
-    /// applies the migration if warranted. Returns the decision and the
-    /// (pre-migration) outlook.
-    pub fn step_outlook(
-        &self,
-        u: VmId,
-        cluster: &mut Cluster,
-        traffic: &PairTraffic,
-        ctx: &OutlookContext<'_>,
-    ) -> (MigrationDecision, TrafficOutlook) {
-        let view = LocalView::observe(u, cluster.allocation(), traffic, cluster.topo());
-        let outlook = ctx.outlook_for(view);
-        let decision = self.decide_outlook(&outlook, cluster);
-        if let Some(target) = decision.target {
-            cluster
-                .migrate(u, target, self.config.bandwidth_threshold)
-                .expect("decide_outlook() validated admission for the chosen target");
-        }
-        (decision, outlook)
-    }
 }
 
 #[cfg(test)]
@@ -412,7 +308,7 @@ mod tests {
     use crate::allocation::Allocation;
     use crate::resources::{ServerSpec, VmSpec};
     use score_topology::CanonicalTree;
-    use score_traffic::PairTrafficBuilder;
+    use score_traffic::{PairTraffic, PairTrafficBuilder};
     use std::sync::Arc;
 
     /// vm0@srv0 with peers vm1@srv1 (L1, heavy) and vm2@srv8 (L3, light).
@@ -435,11 +331,38 @@ mod tests {
         (cluster, traffic)
     }
 
+    /// Reactive decision for `vm` from its freshly observed view.
+    fn decide(
+        engine: &ScoreEngine,
+        vm: VmId,
+        cluster: &Cluster,
+        traffic: &PairTraffic,
+    ) -> MigrationDecision {
+        let view = LocalView::observe(vm, cluster.allocation(), traffic, cluster.topo());
+        engine.decide_scored_with(&view, None, cluster, &mut KernelScratch::new())
+    }
+
+    /// Decides for `vm` and applies the migration, as a ring hold does.
+    fn step(
+        engine: &ScoreEngine,
+        vm: VmId,
+        cluster: &mut Cluster,
+        traffic: &PairTraffic,
+    ) -> MigrationDecision {
+        let decision = decide(engine, vm, cluster, traffic);
+        if let Some(target) = decision.target {
+            cluster
+                .migrate(vm, target, engine.config().bandwidth_threshold)
+                .expect("the kernel validated admission");
+        }
+        decision
+    }
+
     #[test]
     fn migrates_to_best_gain_target() {
         let (mut cluster, traffic) = fixture();
         let engine = ScoreEngine::paper_default();
-        let (decision, _) = engine.step(VmId::new(0), &mut cluster, &traffic);
+        let decision = step(&engine, VmId::new(0), &mut cluster, &traffic);
         // Moving next to the heavy rack-mate (srv1) collapses the 10-unit
         // pair to level 0 and only raises the light pair — best move.
         assert_eq!(decision.target, Some(ServerId::new(1)));
@@ -454,8 +377,7 @@ mod tests {
     fn decision_counts_candidates() {
         let (cluster, traffic) = fixture();
         let engine = ScoreEngine::paper_default();
-        let view = LocalView::observe(VmId::new(0), cluster.allocation(), &traffic, cluster.topo());
-        let d = engine.decide(&view, &cluster);
+        let d = decide(&engine, VmId::new(0), &cluster, &traffic);
         assert_eq!(d.evaluated, 2);
         assert_eq!(d.rejected_capacity, 0);
         assert!(d.migrates());
@@ -464,14 +386,13 @@ mod tests {
     #[test]
     fn migration_cost_gates_moves() {
         let (cluster, traffic) = fixture();
-        let view = LocalView::observe(VmId::new(0), cluster.allocation(), &traffic, cluster.topo());
         let free = ScoreEngine::paper_default();
-        let gain = free.decide(&view, &cluster).gain;
+        let gain = decide(&free, VmId::new(0), &cluster, &traffic).gain;
         let expensive = ScoreEngine::new(
             CostModel::paper_default(),
             ScoreConfig::paper_default().with_migration_cost(gain + 1.0),
         );
-        let d = expensive.decide(&view, &cluster);
+        let d = decide(&expensive, VmId::new(0), &cluster, &traffic);
         assert!(!d.migrates(), "cm above the best gain must block migration");
         assert_eq!(d.gain, 0.0);
     }
@@ -497,7 +418,7 @@ mod tests {
         let mut cluster =
             Cluster::new(topo, spec, VmSpec::paper_default(), &traffic, alloc).unwrap();
         let engine = ScoreEngine::paper_default();
-        let (decision, _) = engine.step(VmId::new(0), &mut cluster, &traffic);
+        let decision = step(&engine, VmId::new(0), &mut cluster, &traffic);
         assert_eq!(decision.rejected_capacity, 1);
         assert_eq!(decision.target, Some(ServerId::new(2)));
     }
@@ -508,8 +429,8 @@ mod tests {
         let engine = ScoreEngine::paper_default();
         // First step moves vm0 to srv1; a second decision for vm0 must not
         // bounce it back and forth.
-        engine.step(VmId::new(0), &mut cluster, &traffic);
-        let (second, _) = engine.step(VmId::new(0), &mut cluster, &traffic);
+        step(&engine, VmId::new(0), &mut cluster, &traffic);
+        let second = step(&engine, VmId::new(0), &mut cluster, &traffic);
         assert!(!second.migrates(), "stable allocation must not oscillate");
     }
 
@@ -520,7 +441,7 @@ mod tests {
         let before = engine
             .cost_model()
             .total_cost(cluster.allocation(), &traffic, cluster.topo());
-        let (decision, _) = engine.step(VmId::new(0), &mut cluster, &traffic);
+        let decision = step(&engine, VmId::new(0), &mut cluster, &traffic);
         let after = engine
             .cost_model()
             .total_cost(cluster.allocation(), &traffic, cluster.topo());
@@ -542,8 +463,7 @@ mod tests {
                 ..ScoreConfig::paper_default()
             },
         );
-        let view = LocalView::observe(VmId::new(0), cluster.allocation(), &traffic, cluster.topo());
-        let d = engine.decide(&view, &cluster);
+        let d = decide(&engine, VmId::new(0), &cluster, &traffic);
         assert_eq!(d.evaluated, 1);
     }
 

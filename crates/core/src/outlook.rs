@@ -1,7 +1,6 @@
 //! The forecast-aware decision input: a [`TrafficOutlook`] is what every
-//! policy and engine decision consumes — the holder's current
-//! [`LocalView`] plus an optional short-horizon forecast of its per-peer
-//! rates.
+//! token policy consumes — the holder's current [`LocalView`] plus an
+//! optional short-horizon forecast of its per-peer rates.
 //!
 //! The outlook generalizes the paper's pipeline without changing it: a
 //! *reactive* outlook (no forecast — [`TrafficOutlook::reactive`]) makes
@@ -14,13 +13,13 @@
 //! afterwards.
 //!
 //! [`OutlookContext`] is the per-step glue: it captures the forecaster,
-//! the current clock and the horizon, and turns each observed
-//! [`LocalView`] into the outlook the ring threads through the engine
-//! and the token policy. Building an outlook only *reads* the
+//! the current clock and the horizon. The ring asks it for the
+//! peak-envelope decision view the engine scores
+//! ([`OutlookContext::decision_view_into`]) and for the predicted rates
+//! of the outlook the token policy reads. Forecasting only *reads* the
 //! forecaster — the cost ledger and the cluster are never touched, so
 //! reading ahead can never dirty them.
 
-use score_topology::VmId;
 use score_traffic::RateForecaster;
 
 use crate::view::LocalView;
@@ -76,22 +75,11 @@ impl TrafficOutlook {
         &self.view
     }
 
-    /// Consumes the outlook, returning the current view by move (the
-    /// compat `ScoreEngine::step` path — no peer-list copy).
-    pub fn into_view(self) -> LocalView {
-        self.view
-    }
-
     /// Consumes the outlook, returning its buffers — how the ring's
     /// scratch reclaims the view (and predicted-rate slab) it lent to a
     /// policy via an owned outlook.
     pub fn into_parts(self) -> (LocalView, Option<Vec<f64>>) {
         (self.view, self.predicted)
-    }
-
-    /// The observing VM.
-    pub fn vm(&self) -> VmId {
-        self.view.vm
     }
 
     /// True when a forecast is attached.
@@ -102,19 +90,6 @@ impl TrafficOutlook {
     /// The lookahead horizon in seconds (0 for reactive outlooks).
     pub fn horizon_s(&self) -> f64 {
         self.horizon_s
-    }
-
-    /// The raw forecasted rate of peer `i` at the horizon (the current
-    /// rate when no forecast is attached).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn forecast_rate(&self, i: usize) -> f64 {
-        match &self.predicted {
-            Some(p) => p[i],
-            None => self.view.peers[i].rate,
-        }
     }
 
     /// The rate decisions *score* peer `i` at: the peak-demand envelope
@@ -136,41 +111,6 @@ impl TrafficOutlook {
             Some(p) => p[i].max(self.view.peers[i].rate),
             None => self.view.peers[i].rate,
         }
-    }
-
-    /// The expected (peak-envelope) rate towards a peer VM (0 for
-    /// non-peers).
-    pub fn expected_rate_to(&self, vm: VmId) -> f64 {
-        self.view
-            .peers
-            .iter()
-            .position(|p| p.vm == vm)
-            .map_or(0.0, |i| self.expected_rate(i))
-    }
-
-    /// The view the engine should *score* against: the current view
-    /// (borrowed — the reactive hot path never copies) or, with a
-    /// forecast attached, an owned copy re-rated to the peak-demand
-    /// envelope ([`TrafficOutlook::expected_rate`]) — same peers, same
-    /// locations, expected rates.
-    pub fn decision_view(&self) -> std::borrow::Cow<'_, LocalView> {
-        match &self.predicted {
-            Some(_) => {
-                let rates: Vec<f64> = (0..self.view.peers.len())
-                    .map(|i| self.expected_rate(i))
-                    .collect();
-                std::borrow::Cow::Owned(self.view.with_rates(&rates))
-            }
-            None => std::borrow::Cow::Borrowed(&self.view),
-        }
-    }
-
-    /// Sum of expected (peak-envelope) per-peer rates — the NIC demand
-    /// the decision pipeline provisions for.
-    pub fn expected_total_rate(&self) -> f64 {
-        (0..self.view.peers.len())
-            .map(|i| self.expected_rate(i))
-            .sum()
     }
 }
 
@@ -230,8 +170,7 @@ impl<'a> OutlookContext<'a> {
 
     /// Fills `out` with the forecasted per-peer rates for `view`
     /// (index-aligned), reusing the buffer. Returns `false` without
-    /// touching `out` when the context is reactive — the zero-alloc
-    /// form of [`OutlookContext::outlook_for`]'s prediction step.
+    /// touching `out` when the context is reactive.
     pub fn predict_into(&self, view: &LocalView, out: &mut Vec<f64>) -> bool {
         match self.forecaster {
             Some(f) => {
@@ -247,20 +186,29 @@ impl<'a> OutlookContext<'a> {
         }
     }
 
-    /// Wraps an observed view into the outlook the decision pipeline
-    /// consumes.
-    pub fn outlook_for(&self, view: LocalView) -> TrafficOutlook {
-        match self.forecaster {
-            Some(f) => {
-                let predicted = view
-                    .peers
-                    .iter()
-                    .map(|p| f.predict(view.vm, p.vm, self.now_s, self.horizon_s))
-                    .collect();
-                TrafficOutlook::with_forecast(view, predicted, self.horizon_s)
-            }
-            None => TrafficOutlook::reactive(view),
+    /// Builds the view a forecasting decision *scores* against: `view`
+    /// re-rated to the peak-demand envelope `max(current, forecast)`
+    /// ([`TrafficOutlook::expected_rate`]) — same peers, same locations
+    /// and levels — written into `out`, with `predicted` as the
+    /// forecast slab. Both buffers are reused, so a hold stays
+    /// allocation-free.
+    ///
+    /// Returns `false` without touching either buffer when the context
+    /// is reactive: the decision then scores `view` itself.
+    pub fn decision_view_into(
+        &self,
+        view: &LocalView,
+        predicted: &mut Vec<f64>,
+        out: &mut LocalView,
+    ) -> bool {
+        if !self.predict_into(view, predicted) {
+            return false;
         }
+        for (slot, p) in predicted.iter_mut().zip(&view.peers) {
+            *slot = slot.max(p.rate);
+        }
+        out.assign_with_rates(view, predicted);
+        true
     }
 }
 
@@ -268,7 +216,7 @@ impl<'a> OutlookContext<'a> {
 mod tests {
     use super::*;
     use crate::view::PeerInfo;
-    use score_topology::{Level, ServerId};
+    use score_topology::{Level, ServerId, VmId};
     use score_traffic::{EwmaForecaster, PairTrafficBuilder};
 
     fn view() -> LocalView {
@@ -298,10 +246,7 @@ mod tests {
         assert!(!o.has_forecast());
         assert_eq!(o.horizon_s(), 0.0);
         assert_eq!(o.expected_rate(0), 10.0);
-        assert_eq!(o.expected_rate_to(VmId::new(2)), 5.0);
-        assert_eq!(o.expected_rate_to(VmId::new(9)), 0.0);
-        assert_eq!(o.expected_total_rate(), 15.0);
-        assert_eq!(&*o.decision_view(), o.view());
+        assert_eq!(o.expected_rate(1), 5.0);
     }
 
     #[test]
@@ -309,20 +254,10 @@ mod tests {
         let o = TrafficOutlook::with_forecast(view(), vec![1.0, 50.0], 30.0);
         assert!(o.has_forecast());
         assert_eq!(o.horizon_s(), 30.0);
-        // Raw forecasts pass through …
-        assert_eq!(o.forecast_rate(0), 1.0);
-        assert_eq!(o.forecast_rate(1), 50.0);
-        // … but scoring uses the peak envelope: the pipeline must not
-        // "see through" currently heavy pairs predicted to subside.
+        // Scoring uses the peak envelope: the pipeline must not "see
+        // through" currently heavy pairs predicted to subside.
         assert_eq!(o.expected_rate(0), 10.0);
         assert_eq!(o.expected_rate(1), 50.0);
-        assert_eq!(o.expected_total_rate(), 60.0);
-        let dv = o.decision_view();
-        assert_eq!(dv.peers[0].rate, 10.0);
-        assert_eq!(dv.peers[1].rate, 50.0);
-        // Everything but the rates is preserved.
-        assert_eq!(dv.peers[1].server, ServerId::new(8));
-        assert_eq!(dv.peers[1].level, Level::CORE);
         // The *current* view is untouched.
         assert_eq!(o.view().peers[0].rate, 10.0);
     }
@@ -345,16 +280,21 @@ mod tests {
 
         let ctx = OutlookContext::forecast(&f, 10.0, 10.0);
         assert!(ctx.is_forecasting());
-        let o = ctx.outlook_for(view());
-        assert!(o.has_forecast());
+        let (mut predicted, mut dv) = (Vec::new(), LocalView::default());
+        assert!(ctx.decision_view_into(&view(), &mut predicted, &mut dv));
         // (0,1) flat at 10; (0,2) ramping 0.5/s → 15 at the horizon.
-        assert_eq!(o.expected_rate(0), 10.0);
-        assert!((o.expected_rate(1) - 15.0).abs() < 1e-9);
+        assert_eq!(dv.peers[0].rate, 10.0);
+        assert!((dv.peers[1].rate - 15.0).abs() < 1e-9);
+        // Everything but the rates is preserved.
+        assert_eq!(dv.peers[1].server, ServerId::new(8));
+        assert_eq!(dv.peers[1].level, Level::CORE);
 
-        // Zero horizon degrades to reactive.
+        // Zero horizon degrades to reactive and leaves the buffers alone.
         let ctx0 = OutlookContext::forecast(&f, 10.0, 0.0);
         assert!(!ctx0.is_forecasting());
-        assert!(!ctx0.outlook_for(view()).has_forecast());
+        let mut untouched = LocalView::default();
+        assert!(!ctx0.decision_view_into(&view(), &mut predicted, &mut untouched));
+        assert_eq!(untouched, LocalView::default());
         assert!(!OutlookContext::reactive().is_forecasting());
     }
 }

@@ -231,7 +231,7 @@ impl TokenRing {
     /// successor no matter how their batches interleave.
     ///
     /// When no survivor exists the ring degrades gracefully: the holder
-    /// becomes `None`, [`TokenRing::step`] returns `None`, and
+    /// becomes `None`, [`TokenRing::step_outlook`] returns `None`, and
     /// iteration loops terminate instead of spinning on a dead
     /// membership. A later [`TokenRing::add_vm`] restarts the ring.
     ///
@@ -298,15 +298,6 @@ impl TokenRing {
         self.holder = self.token.first();
     }
 
-    /// Performs one token-holder step: decide, migrate if warranted, pass
-    /// the token. Returns `None` when no holder remains.
-    ///
-    /// This is the reactive pipeline — [`TokenRing::step_outlook`] with
-    /// a no-forecast context.
-    pub fn step(&mut self, cluster: &mut Cluster, traffic: &PairTraffic) -> Option<StepOutcome> {
-        self.step_outlook(cluster, traffic, &OutlookContext::reactive())
-    }
-
     /// Performs one token-holder step with the given outlook context:
     /// both the migration decision and the next-holder choice consume a
     /// `TrafficOutlook` built by `ctx` (the holder's local view plus,
@@ -329,17 +320,14 @@ impl TokenRing {
             .view
             .observe_into(holder, cluster.allocation(), traffic, cluster.topo());
         let source = scratch.view.server;
-        // Decide via the single-pass bucketed kernel on scratch buffers —
-        // bit-identical to `ScoreEngine::step_outlook`, without its
-        // allocations. A forecasting context re-rates the scoring view to
-        // the peak-demand envelope first (`TrafficOutlook::expected_rate`).
-        let decision = if ctx.predict_into(&scratch.view, &mut scratch.predicted) {
-            for (slot, p) in scratch.predicted.iter_mut().zip(&scratch.view.peers) {
-                *slot = slot.max(p.rate);
-            }
-            scratch
-                .decision_view
-                .assign_with_rates(&scratch.view, &scratch.predicted);
+        // Decide via the single-pass bucketed kernel on scratch buffers.
+        // A forecasting context re-rates the scoring view to the
+        // peak-demand envelope first (`TrafficOutlook::expected_rate`).
+        let decision = if ctx.decision_view_into(
+            &scratch.view,
+            &mut scratch.predicted,
+            &mut scratch.decision_view,
+        ) {
             self.engine.decide_scored_with(
                 &scratch.decision_view,
                 Some(&scratch.view),
@@ -418,18 +406,6 @@ impl TokenRing {
         })
     }
 
-    /// Like [`TokenRing::step`], but folds the step's Lemma-3 delta into
-    /// `ledger` so the network-wide cost stays observable in `O(1)`
-    /// without any Eq.-(2) recomputation.
-    pub fn step_ledgered(
-        &mut self,
-        cluster: &mut Cluster,
-        traffic: &PairTraffic,
-        ledger: &mut CostLedger,
-    ) -> Option<StepOutcome> {
-        self.step_ledgered_outlook(cluster, traffic, ledger, &OutlookContext::reactive())
-    }
-
     /// Like [`TokenRing::step_outlook`], but folds the step's applied
     /// cost delta into `ledger`. For a pre-emptive migration the
     /// decision's `gain` is its *current-TM* delta (possibly ≤ 0), so
@@ -461,7 +437,7 @@ impl TokenRing {
         Some(outcome)
     }
 
-    /// Runs `|V|` steps — one iteration in the paper's sense.
+    /// Runs `|V|` reactive steps — one iteration in the paper's sense.
     pub fn run_iteration(
         &mut self,
         cluster: &mut Cluster,
@@ -474,7 +450,8 @@ impl TokenRing {
             total_gain: 0.0,
         };
         for _ in 0..n {
-            let Some(outcome) = self.step(cluster, traffic) else {
+            let Some(outcome) = self.step_outlook(cluster, traffic, &OutlookContext::reactive())
+            else {
                 break;
             };
             stats.steps += 1;
@@ -510,6 +487,15 @@ mod tests {
     use score_topology::{CanonicalTree, ServerId};
     use score_traffic::WorkloadConfig;
     use std::sync::Arc;
+
+    /// One reactive hold — the paper pipeline.
+    fn step(
+        ring: &mut TokenRing,
+        cluster: &mut Cluster,
+        traffic: &PairTraffic,
+    ) -> Option<StepOutcome> {
+        ring.step_outlook(cluster, traffic, &OutlookContext::reactive())
+    }
 
     fn fixture(seed: u64) -> (Cluster, PairTraffic) {
         let topo = Arc::new(CanonicalTree::small()); // 16 servers
@@ -595,10 +581,10 @@ mod tests {
     fn step_outcome_chain() {
         let (mut cluster, traffic) = fixture(5);
         let mut ring = TokenRing::new(ScoreEngine::paper_default(), RoundRobin::new(), 32);
-        let o1 = ring.step(&mut cluster, &traffic).unwrap();
+        let o1 = step(&mut ring, &mut cluster, &traffic).unwrap();
         assert_eq!(o1.holder, VmId::new(0));
         assert_eq!(o1.next, Some(VmId::new(1)));
-        let o2 = ring.step(&mut cluster, &traffic).unwrap();
+        let o2 = step(&mut ring, &mut cluster, &traffic).unwrap();
         assert_eq!(o2.holder, VmId::new(1));
     }
 
@@ -614,7 +600,12 @@ mod tests {
             cluster.topo(),
         );
         for _ in 0..64 {
-            let Some(outcome) = ring.step_ledgered(&mut cluster, &traffic, &mut ledger) else {
+            let Some(outcome) = ring.step_ledgered_outlook(
+                &mut cluster,
+                &traffic,
+                &mut ledger,
+                &OutlookContext::reactive(),
+            ) else {
                 break;
             };
             assert_eq!(outcome.applied_delta(), -outcome.decision.gain);
@@ -633,7 +624,7 @@ mod tests {
         let mut ring = TokenRing::new(ScoreEngine::paper_default(), RoundRobin::new(), 0);
         let (mut cluster, traffic) = fixture(6);
         assert!(ring.holder().is_none());
-        assert!(ring.step(&mut cluster, &traffic).is_none());
+        assert!(step(&mut ring, &mut cluster, &traffic).is_none());
         let stats = ring.run_iteration(&mut cluster, &traffic);
         assert_eq!(stats.steps, 0);
         assert_eq!(stats.migration_ratio(), 0.0);
@@ -646,7 +637,7 @@ mod tests {
         // Run half an iteration, then remove the current holder and a
         // bystander; the ring must keep functioning.
         for _ in 0..16 {
-            ring.step(&mut cluster, &traffic);
+            step(&mut ring, &mut cluster, &traffic);
         }
         let holder = ring.holder().unwrap();
         assert!(ring.remove_vm(holder));
@@ -672,7 +663,7 @@ mod tests {
         let mut ring = TokenRing::new(ScoreEngine::paper_default(), HighestLevelFirst::new(), 32);
         for burst in 0..3 {
             for _ in 0..20 {
-                ring.step(&mut cluster, &traffic);
+                step(&mut ring, &mut cluster, &traffic);
             }
             if burst < 2 {
                 ring.regenerate_token();
@@ -709,7 +700,7 @@ mod tests {
         assert_eq!(ring.holder(), Some(VmId::new(0)));
         assert!(ring.remove_vm(VmId::new(0)));
         assert!(ring.holder().is_none());
-        assert!(ring.step(&mut cluster, &traffic).is_none());
+        assert!(step(&mut ring, &mut cluster, &traffic).is_none());
         // An arrival restarts the ring.
         assert!(ring.add_vm(VmId::new(0)));
         assert_eq!(ring.holder(), Some(VmId::new(0)));

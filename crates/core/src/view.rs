@@ -261,32 +261,10 @@ impl LocalView {
             .map_or(0.0, |i| self.peers[i].rate)
     }
 
-    /// A copy of the view with every peer's rate replaced
-    /// (index-aligned) — how a `TrafficOutlook` materializes its
-    /// *forecasted* decision view: same peers, same locations and
-    /// levels, predicted rates.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rates` is not aligned with the peer list.
-    pub fn with_rates(&self, rates: &[f64]) -> LocalView {
-        assert_eq!(rates.len(), self.peers.len(), "rates must cover every peer");
-        LocalView {
-            vm: self.vm,
-            server: self.server,
-            peers: self
-                .peers
-                .iter()
-                .zip(rates)
-                .map(|(p, &rate)| PeerInfo { rate, ..*p })
-                .collect(),
-        }
-    }
-
     /// Copies `src` into `self` with every peer's rate replaced
-    /// (index-aligned), reusing the peer buffer — the allocation-free
-    /// form of [`LocalView::with_rates`] used when a forecast re-rates
-    /// the decision view.
+    /// (index-aligned), reusing the peer buffer — how a forecast
+    /// re-rates the decision view
+    /// ([`crate::OutlookContext::decision_view_into`]).
     ///
     /// # Panics
     ///
@@ -302,12 +280,6 @@ impl LocalView {
                 .zip(rates)
                 .map(|(p, &rate)| PeerInfo { rate, ..*p }),
         );
-    }
-
-    /// Peer levels as `(vm, level)` pairs — what the HLF token policy
-    /// needs to refresh token entries.
-    pub fn peer_levels(&self) -> Vec<(VmId, Level)> {
-        self.peers.iter().map(|p| (p.vm, p.level)).collect()
     }
 }
 
@@ -480,15 +452,5 @@ mod tests {
                 "target {target}: {got} vs {naive}"
             );
         }
-    }
-
-    #[test]
-    fn peer_levels_for_token_updates() {
-        let (topo, alloc, traffic) = fixture();
-        let view = LocalView::observe(VmId::new(0), &alloc, &traffic, &topo);
-        let levels = view.peer_levels();
-        assert_eq!(levels.len(), 3);
-        assert_eq!(levels[0], (VmId::new(1), Level::RACK));
-        assert_eq!(levels[2], (VmId::new(3), Level::CORE));
     }
 }

@@ -1,7 +1,9 @@
 //! Equivalence suite for the single-pass level-bucketed decision kernel.
 //!
-//! [`ScoreEngine::decide_scored`] is the reference implementation (ranked
-//! candidate list + per-candidate `delta_for` sweep); the hot path
+//! [`reference_decision`] below is the test-only oracle: the §V-B5
+//! procedure spelled out on public API (ranked
+//! `LocalView::candidate_servers`, a `Cluster::can_host` probe and a
+//! `LocalView::delta_for` sweep per candidate). The hot path
 //! [`ScoreEngine::decide_scored_with`] and the forced-bucketed variant
 //! must produce **bit-identical** `MigrationDecision`s — same target,
 //! same gain bits, same candidate accounting — on every topology shape,
@@ -63,6 +65,57 @@ fn balanced_alloc(num_vms: u32, num_servers: u32, seed: u64) -> Allocation {
     Allocation::from_fn(num_vms, num_servers, |vm| {
         ServerId::new(perm[vm.index() % perm.len()])
     })
+}
+
+/// The reference decision: allocate the ranked candidate list, then
+/// capacity-probe and `delta_for`-score each candidate in turn. With
+/// `current` set, `decision_view` carries forecast rates and `current`
+/// supplies the landed-TM gain and the pre-emptive flag.
+fn reference_decision(
+    engine: &ScoreEngine,
+    decision_view: &LocalView,
+    current: Option<&LocalView>,
+    cluster: &Cluster,
+) -> MigrationDecision {
+    let config = engine.config();
+    let weights = engine.cost_model().weights();
+    let mut candidates = decision_view.candidate_servers();
+    if let Some(cap) = config.max_candidates {
+        candidates.truncate(cap);
+    }
+    let mut best: Option<(ServerId, f64)> = None;
+    let (mut evaluated, mut rejected) = (0, 0);
+    for target in candidates {
+        evaluated += 1;
+        if cluster
+            .can_host(target, decision_view.vm, config.bandwidth_threshold)
+            .is_err()
+        {
+            rejected += 1;
+            continue;
+        }
+        let delta = decision_view.delta_for(target, weights, cluster.topo());
+        if delta > config.migration_cost && best.is_none_or(|(_, b)| delta > b) {
+            best = Some((target, delta));
+        }
+    }
+    let (gain, preemptive) = match (best, current) {
+        (Some((target, _)), Some(view)) => {
+            let actual = view.delta_for(target, weights, cluster.topo());
+            (actual, actual <= config.migration_cost)
+        }
+        (Some((_, predicted)), None) => (predicted, false),
+        (None, _) => (0.0, false),
+    };
+    MigrationDecision {
+        vm: decision_view.vm,
+        target: best.map(|(s, _)| s),
+        gain,
+        predicted_gain: best.map_or(0.0, |(_, g)| g),
+        preemptive,
+        evaluated,
+        rejected_capacity: rejected,
+    }
 }
 
 fn assert_bit_identical(a: &MigrationDecision, b: &MigrationDecision, what: &str) {
@@ -140,7 +193,7 @@ fn check_case(
         (observed.clone(), None)
     };
 
-    let reference = engine.decide_scored(&decision_view, current, &cluster);
+    let reference = reference_decision(&engine, &decision_view, current, &cluster);
     SCRATCH.with(|s| {
         let scratch = &mut *s.borrow_mut();
         let hot = engine.decide_scored_with(&decision_view, current, &cluster, scratch);

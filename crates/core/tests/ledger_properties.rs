@@ -10,12 +10,33 @@
 //! pair.
 
 use proptest::prelude::*;
-use score_core::{Cluster, CostModel, ScoreEngine, ServerSpec, VmSpec};
+use score_core::{
+    Cluster, CostModel, KernelScratch, LocalView, MigrationDecision, ScoreEngine, ServerSpec,
+    VmSpec,
+};
 use score_topology::{CanonicalTree, FatTree, Topology, VmId};
 use score_traffic::{PairTraffic, WorkloadConfig};
 use std::sync::Arc;
 
 const NUM_VMS: u32 = 32;
+
+/// One reactive token-holder decision for `vm`, applied the way a ring
+/// hold applies it.
+fn step(
+    engine: &ScoreEngine,
+    vm: VmId,
+    cluster: &mut Cluster,
+    traffic: &PairTraffic,
+) -> MigrationDecision {
+    let view = LocalView::observe(vm, cluster.allocation(), traffic, cluster.topo());
+    let decision = engine.decide_scored_with(&view, None, cluster, &mut KernelScratch::new());
+    if let Some(target) = decision.target {
+        cluster
+            .migrate(vm, target, engine.config().bandwidth_threshold)
+            .expect("the kernel validated admission");
+    }
+    decision
+}
 
 /// One step of the interleaving: a token-holder decision for `vm`
 /// (whose accepted Lemma-3 delta feeds the ledger), or a traffic-phase
@@ -64,7 +85,7 @@ fn check_interleaving(topo: Arc<dyn Topology>, seed: u64, ops: &[Op]) -> Result<
     for (i, &op) in ops.iter().enumerate() {
         match op {
             Op::Decide { vm } => {
-                let (decision, _) = engine.step(VmId::new(vm), &mut cluster, &traffic);
+                let decision = step(&engine, VmId::new(vm), &mut cluster, &traffic);
                 ledger.apply_gain(decision.gain);
             }
             Op::Rebind { workload_seed } => {

@@ -5,7 +5,9 @@
 //! degrades gracefully instead of spinning.
 
 use proptest::prelude::*;
-use score_core::{Allocation, Cluster, RoundRobin, ScoreEngine, ServerSpec, TokenRing, VmSpec};
+use score_core::{
+    Allocation, Cluster, OutlookContext, RoundRobin, ScoreEngine, ServerSpec, TokenRing, VmSpec,
+};
 use score_topology::{CanonicalTree, ServerId, VmId};
 use score_traffic::{PairTraffic, WorkloadConfig};
 use std::sync::Arc;
@@ -80,7 +82,7 @@ fn killing_the_holder_mid_hold_converges() {
     let (mut cluster, traffic) = fixture(11);
     let mut r = ring();
     for _ in 0..9 {
-        r.step(&mut cluster, &traffic);
+        r.step_outlook(&mut cluster, &traffic, &OutlookContext::reactive());
     }
     let holder = r.holder().unwrap().get();
     let dead = [
@@ -106,8 +108,10 @@ fn fully_dead_ring_degrades_gracefully() {
     assert_eq!(r.fail_vms(&everyone), None);
     assert!(r.holder().is_none());
     assert!(r.token().is_empty());
-    // step() terminates instead of spinning; iterations are empty.
-    assert!(r.step(&mut cluster, &traffic).is_none());
+    // step_outlook() terminates instead of spinning; iterations are empty.
+    assert!(r
+        .step_outlook(&mut cluster, &traffic, &OutlookContext::reactive())
+        .is_none());
     let stats = r.run_iteration(&mut cluster, &traffic);
     assert_eq!(stats.steps, 0);
     // A later arrival restarts the ring.
@@ -164,7 +168,7 @@ proptest! {
         let (mut cluster, traffic) = fixture(seed);
         let mut r = ring();
         for _ in 0..steps {
-            r.step(&mut cluster, &traffic);
+            r.step_outlook(&mut cluster, &traffic, &OutlookContext::reactive());
         }
         let dead: Vec<u32> = dead_raw.iter().copied().collect();
         let holder = r.holder().unwrap().get();
@@ -179,7 +183,7 @@ proptest! {
         let mut batched = ring();
         let mut c2 = cluster.clone();
         for _ in 0..steps {
-            batched.step(&mut c2, &traffic);
+            batched.step_outlook(&mut c2, &traffic, &OutlookContext::reactive());
         }
         let ids: Vec<VmId> = dead.iter().map(|&v| VmId::new(v)).collect();
         let got = batched.fail_vms(&ids);
@@ -193,7 +197,7 @@ proptest! {
         let mut seq = ring();
         let mut c3 = cluster.clone();
         for _ in 0..steps {
-            seq.step(&mut c3, &traffic);
+            seq.step_outlook(&mut c3, &traffic, &OutlookContext::reactive());
         }
         let mut desc = ids.clone();
         desc.sort_unstable_by(|a, b| b.cmp(a));

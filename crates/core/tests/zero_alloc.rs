@@ -11,8 +11,8 @@
 //! kernel exists to avoid.
 
 use score_core::{
-    Allocation, Cluster, HighestLevelFirst, RoundRobin, ScoreEngine, ServerSpec, TokenPolicy,
-    TokenRing, VmSpec,
+    Allocation, Cluster, HighestLevelFirst, OutlookContext, RoundRobin, ScoreEngine, ServerSpec,
+    TokenPolicy, TokenRing, VmSpec,
 };
 use score_topology::{CanonicalTree, ServerId, Topology};
 use score_traffic::WorkloadConfig;
@@ -76,7 +76,8 @@ fn steady_state_allocs(policy: impl TokenPolicy + 'static, name: &str) {
     let before = ALLOC_CALLS.load(Ordering::Relaxed);
     let mut migrations = 0;
     for _ in 0..(num_vms as usize * 2) {
-        let Some(outcome) = ring.step(&mut cluster, &traffic) else {
+        let Some(outcome) = ring.step_outlook(&mut cluster, &traffic, &OutlookContext::reactive())
+        else {
             break;
         };
         if outcome.decision.migrates() {

@@ -10,8 +10,6 @@
 //! * [`FlowKey`] / [`Protocol`] — 5-tuple flow identification;
 //! * [`FlowTable`] — add/update/lookup/delete with a by-IP secondary index,
 //!   byte counters, timestamps, and per-peer aggregate throughput;
-//! * [`SharedFlowTable`] — the concurrent wrapper used when the poller and
-//!   the decision engine run on different threads;
 //! * [`benchset`] — the type-1/type-2 million-flow stress sets of Fig. 5a.
 //!
 //! # Examples
@@ -35,10 +33,8 @@
 
 pub mod benchset;
 pub mod key;
-pub mod shared;
 pub mod table;
 
 pub use benchset::{paper_type2_flows, type1_flows, type2_flows, TYPE2_GROUP};
 pub use key::{FlowKey, Protocol};
-pub use shared::SharedFlowTable;
 pub use table::{FlowRecord, FlowTable};

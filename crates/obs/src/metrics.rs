@@ -101,21 +101,21 @@ fn bucket_upper(idx: usize) -> u64 {
 
 /// Fixed log-bucket histogram for latency-like `u64` samples (nanoseconds).
 ///
-/// Recording is three relaxed `fetch_add`s (bucket, count, sum); reading is
-/// done through an immutable [`HistogramSnapshot`]. Concurrent recorders and
-/// snapshotters never block each other; a snapshot taken during concurrent
-/// recording sees some consistent subset of the recorded samples (counts may
-/// lag sums by in-flight records, which only perturbs `mean()` transiently).
+/// Recording is two relaxed `fetch_add`s (bucket, sum); reading is done
+/// through an immutable [`HistogramSnapshot`]. Concurrent recorders and
+/// snapshotters never block each other. A snapshot's `count` is the sum of
+/// the bucket counts it loaded, so quantiles and the Prometheus `+Inf`
+/// bucket always agree with it; only `sum` may differ from the buckets by
+/// in-flight records, which perturbs `mean()` transiently.
 pub struct Histogram {
     buckets: [AtomicU64; BUCKETS],
-    count: AtomicU64,
     sum: AtomicU64,
 }
 
 impl std::fmt::Debug for Histogram {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Histogram")
-            .field("count", &self.count.load(Ordering::Relaxed))
+            .field("count", &self.snapshot().count)
             .field("sum", &self.sum.load(Ordering::Relaxed))
             .finish()
     }
@@ -132,7 +132,6 @@ impl Histogram {
     pub fn new() -> Self {
         Self {
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
         }
     }
@@ -141,7 +140,6 @@ impl Histogram {
     #[inline]
     pub fn record(&self, v: u64) {
         self.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
     }
 
@@ -153,8 +151,6 @@ impl Histogram {
                 dst.fetch_add(n, Ordering::Relaxed);
             }
         }
-        self.count
-            .fetch_add(other.count.load(Ordering::Relaxed), Ordering::Relaxed);
         self.sum
             .fetch_add(other.sum.load(Ordering::Relaxed), Ordering::Relaxed);
     }
@@ -167,7 +163,7 @@ impl Histogram {
             .map(|b| b.load(Ordering::Relaxed))
             .collect();
         HistogramSnapshot {
-            count: self.count.load(Ordering::Relaxed),
+            count: buckets.iter().sum(),
             sum: self.sum.load(Ordering::Relaxed),
             buckets,
         }
@@ -177,7 +173,7 @@ impl Histogram {
 /// Point-in-time copy of a [`Histogram`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistogramSnapshot {
-    /// Total samples recorded.
+    /// Total samples recorded: the sum of `buckets`.
     pub count: u64,
     /// Sum of all samples.
     pub sum: u64,
@@ -215,14 +211,7 @@ impl HistogramSnapshot {
                 return bucket_upper(idx);
             }
         }
-        // count/sum can lead the bucket array under concurrent recording;
-        // fall back to the highest non-empty bucket.
-        bucket_upper(
-            self.buckets
-                .iter()
-                .rposition(|&n| n > 0)
-                .unwrap_or(BUCKETS - 1),
-        )
+        unreachable!("count is the bucket sum, so the walk reaches every rank")
     }
 
     /// Median (see [`HistogramSnapshot::quantile`]).

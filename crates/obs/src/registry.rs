@@ -278,5 +278,17 @@ mod tests {
         );
         assert!(text.contains("lat_ns_sum{verb=\"place\"} 1000"), "{text}");
         assert!(text.ends_with('\n'));
+        // The `+Inf` bucket and `_count` are the same number, always.
+        let series_value = |prefix: &str| -> u64 {
+            let line = text
+                .lines()
+                .find(|l| l.starts_with(prefix))
+                .unwrap_or_else(|| panic!("no {prefix} line in {text}"));
+            line.rsplit(' ').next().unwrap().parse().unwrap()
+        };
+        assert_eq!(
+            series_value("lat_ns_bucket{verb=\"place\",le=\"+Inf\"}"),
+            series_value("lat_ns_count{verb=\"place\"}")
+        );
     }
 }

@@ -4,28 +4,30 @@
 //!
 //! # Replayability contract
 //!
-//! Every mutating request (placement, removal, traffic delta) is
-//! applied at a **drained boundary** — an instant where every pending
-//! event lies strictly in the future ([`Session::drain_to_boundary`])
-//! — and appended to the session's [`score_trace::TraceRecorder`] at
-//! that instant. Replaying the recorded raw event stream against a
-//! fresh session of the same scenario ([`replay_trace`]) therefore
-//! pops exactly the event prefix the live run popped before each
-//! mutation, and the final [`RunReport`]s agree **byte for byte** once
+//! Every mutating request (placement, removal, traffic delta, fault)
+//! is lowered to raw trace events and applied through
+//! [`Session::apply_trace_event`] at a **drained boundary** — an
+//! instant where every pending event lies strictly in the future
+//! ([`Session::advance_to`]) — and appended to the session's
+//! [`score_trace::TraceRecorder`] at that instant. Replaying the
+//! recorded raw event stream against a fresh session of the same
+//! scenario ([`replay_trace`], which is [`Session::run_storm`])
+//! therefore pops exactly the event prefix the live run popped before
+//! each mutation, and the final [`RunReport`]s agree **byte for byte** once
 //! serialized canonically ([`canonical_report_json`] zeroes the two
 //! wall-clock-measurement fields, which are the only nondeterministic
 //! ones).
 //!
 //! Call-count parity is part of the contract: the engine lowers every
-//! traffic request to one [`Session::apply_traffic_deltas`] call per
-//! pair whose rate actually changes (no-ops are skipped before the
-//! call), so the live apply-call count, the recorded `SetRate` count,
-//! and the replay apply-call count are all the same number and the
-//! `events_applied` statistic survives the round trip.
+//! traffic request to one `SetRate` event per pair whose rate actually
+//! changes (no-ops are skipped before the call), so the live
+//! apply-call count, the recorded `SetRate` count, and the replay
+//! apply-call count are all the same number and the `events_applied`
+//! statistic survives the round trip.
 
 use score_obs::{Counter, Gauge, ObsHandle};
-use score_sim::{RunReport, Scenario, Session, WorkloadSpec};
-use score_topology::{ServerId, VmId};
+use score_sim::{EventOutcome, RunReport, Scenario, Session, WorkloadSpec};
+use score_topology::VmId;
 use score_trace::{Trace, TraceEvent};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -63,6 +65,34 @@ pub struct Faulted {
     pub unplaceable: u64,
     /// The drained-boundary time the batch landed at.
     pub at_s: f64,
+}
+
+/// The daemon-recording shape check shared by crash recovery and
+/// [`replay_trace`]: a daemon audit log covers the scenario's base
+/// population and holds only absolute re-rates, churn and faults —
+/// every request verb lowers to exactly those events.
+fn check_daemon_recording(session: &Session, trace: &Trace) -> Result<(), String> {
+    if trace.num_vms() != session.traffic().num_vms() {
+        return Err(format!(
+            "trace population {} does not match the scenario's {}",
+            trace.num_vms(),
+            session.traffic().num_vms()
+        ));
+    }
+    let foreign = trace.events().iter().any(|ev| {
+        matches!(
+            ev.event,
+            TraceEvent::ScalePair { .. } | TraceEvent::ScaleAll { .. } | TraceEvent::Marker { .. }
+        )
+    });
+    if foreign {
+        return Err(
+            "daemon recordings contain only absolute re-rates, churn, and faults; this trace \
+             does not look like one"
+                .to_string(),
+        );
+    }
+    Ok(())
 }
 
 /// A named tenant's live cluster: a recording [`Session`] plus the
@@ -215,66 +245,13 @@ impl TenantEngine {
         let trace = Trace::load(&dir.join("trace.jsonl"))
             .map_err(|e| format!("loading trace.jsonl: {e}"))?;
         let mut session = scenario.session().map_err(|e| e.to_string())?;
-        if trace.num_vms() != session.traffic().num_vms() {
-            return Err(format!(
-                "trace population {} does not match the scenario's {}",
-                trace.num_vms(),
-                session.traffic().num_vms()
-            ));
-        }
+        check_daemon_recording(&session, &trace)?;
         session.start_trace_recording();
-        let drain_to = |session: &mut Session, at_s: f64| {
-            while session.next_event_time().is_some_and(|t| t <= at_s) {
-                if session.step().is_none() {
-                    break;
-                }
-            }
-        };
-        for ev in trace.events() {
-            drain_to(&mut session, ev.time_s);
-            match ev.event {
-                TraceEvent::SetRate { u, v, rate } => {
-                    session
-                        .apply_traffic_deltas(&[(VmId::new(u), VmId::new(v), rate)])
-                        .map_err(|e| format!("at {}s: {e}", ev.time_s))?;
-                }
-                TraceEvent::PlaceVm { vm, server } => {
-                    let (placed, _) = session
-                        .place_vm(Some(ServerId::new(server)))
-                        .map_err(|e| format!("at {}s: {e}", ev.time_s))?;
-                    if placed.get() != vm {
-                        return Err(format!(
-                            "recovery placed vm{} where the recording placed vm{vm}",
-                            placed.get()
-                        ));
-                    }
-                }
-                TraceEvent::RemoveVm { vm } => {
-                    session
-                        .remove_vm(VmId::new(vm))
-                        .map_err(|e| format!("at {}s: {e}", ev.time_s))?;
-                }
-                ref fault @ (TraceEvent::HostCrash { .. }
-                | TraceEvent::RackFail { .. }
-                | TraceEvent::LinkDegrade { .. }
-                | TraceEvent::LinkRestore { .. }) => {
-                    // The log holds only the fault; its consequences
-                    // (evacuations, retirements) re-derive exactly.
-                    session
-                        .apply_fault(fault)
-                        .map_err(|e| format!("at {}s: {e}", ev.time_s))?;
-                }
-                TraceEvent::ScalePair { .. }
-                | TraceEvent::ScaleAll { .. }
-                | TraceEvent::Marker { .. } => {
-                    return Err(
-                        "daemon recordings contain only absolute re-rates, churn, and \
-                         faults; this trace does not look like one"
-                            .to_string(),
-                    );
-                }
-            }
-        }
+        // Fault entries carry only the fault; its consequences
+        // (evacuations, retirements) re-derive exactly.
+        session
+            .run_storm(trace.events())
+            .map_err(|e| e.to_string())?;
         // The rebuilt recording must be the loaded stream, event for
         // event — the proof the tenant is exactly where it crashed.
         let rerecorded = session
@@ -377,12 +354,24 @@ impl TenantEngine {
     ///
     /// Propagates the cluster's admission verdict.
     pub fn place(&mut self, server: Option<u32>) -> Result<(u32, u32, f64), String> {
-        let at_s = self.session.drain_to_boundary();
-        let (vm, host) = self
-            .session
-            .place_vm(server.map(ServerId::new))
-            .map_err(|e| e.to_string())?;
-        Ok((vm.get(), host.get(), at_s))
+        let at_s = self.session.advance_to(self.session.now_s());
+        let server = match server {
+            Some(server) => server,
+            None => self
+                .session
+                .cluster()
+                .choose_server(&self.scenario.resources.vm)
+                .map_err(|e| score_sim::ScenarioError::from(e).to_string())?
+                .get(),
+        };
+        let event = TraceEvent::PlaceVm {
+            vm: self.session.traffic().num_vms(),
+            server,
+        };
+        match self.apply(&event)? {
+            EventOutcome::Placed { vm, server } => Ok((vm.get(), server.get(), at_s)),
+            other => unreachable!("PlaceVm produced {other:?}"),
+        }
     }
 
     /// Retires a live VM at the next drained boundary. Returns the
@@ -392,10 +381,8 @@ impl TenantEngine {
     ///
     /// Propagates `unknown VM` for dead or out-of-range ids.
     pub fn remove(&mut self, vm: u32) -> Result<f64, String> {
-        let at_s = self.session.drain_to_boundary();
-        self.session
-            .remove_vm(VmId::new(vm))
-            .map_err(|e| e.to_string())?;
+        let at_s = self.session.advance_to(self.session.now_s());
+        self.apply(&TraceEvent::RemoveVm { vm })?;
         Ok(at_s)
     }
 
@@ -431,7 +418,7 @@ impl TenantEngine {
                 | TraceEvent::ScaleAll { .. } => {}
             }
         }
-        let at_s = self.session.drain_to_boundary();
+        let at_s = self.session.advance_to(self.session.now_s());
         let mut pairs_changed = 0u64;
         for ev in events {
             let updates: Vec<(VmId, VmId, f64)> = match *ev {
@@ -481,9 +468,11 @@ impl TenantEngine {
                 {
                     continue;
                 }
-                self.session
-                    .apply_traffic_deltas(&[(u, v, rate)])
-                    .map_err(|e| e.to_string())?;
+                self.apply(&TraceEvent::SetRate {
+                    u: u.get(),
+                    v: v.get(),
+                    rate,
+                })?;
                 pairs_changed += 1;
             }
         }
@@ -495,7 +484,7 @@ impl TenantEngine {
 
     /// Injects fault events at the next drained boundary — the
     /// adversity path of the protocol. Each event goes through
-    /// [`Session::apply_fault`]: crashed hosts are evacuated through
+    /// [`Session::apply_trace_event`]: crashed hosts are evacuated through
     /// the deterministic re-planning pipeline, and only the fault
     /// events land in the audit log (their consequences are re-derived
     /// on replay, which keeps crash recovery byte-stable).
@@ -512,18 +501,27 @@ impl TenantEngine {
                  send Traffic / Place / Remove for ordinary mutations"
             ));
         }
-        let at_s = self.session.drain_to_boundary();
+        let at_s = self.session.advance_to(self.session.now_s());
         let mut result = Faulted {
             at_s,
             ..Faulted::default()
         };
         for ev in events {
-            let outcome = self.session.apply_fault(ev).map_err(|e| e.to_string())?;
+            let EventOutcome::Faulted(outcome) = self.apply(ev)? else {
+                unreachable!("fault events produce fault outcomes");
+            };
             result.hosts_failed += outcome.hosts_failed.len() as u32;
             result.evacuations += outcome.evacuated.len() as u64;
             result.unplaceable += outcome.unplaceable.len() as u64;
         }
         Ok(result)
+    }
+
+    /// Applies one lowered event to the session.
+    fn apply(&mut self, event: &TraceEvent) -> Result<EventOutcome, String> {
+        self.session
+            .apply_trace_event(event)
+            .map_err(|e| e.to_string())
     }
 
     /// Audit-log lines recorded since the last call — the subscriber
@@ -578,7 +576,7 @@ impl TenantEngine {
     ///
     /// Propagates artifact I/O failures.
     pub fn finish(&mut self) -> Result<String, String> {
-        self.session.drain_to_boundary();
+        self.session.advance_to(self.session.now_s());
         let report = self.report_json();
         if let Some(dir) = self.record_dir.clone() {
             let end_s = self.session.now_s().max(1e-6);
@@ -599,74 +597,23 @@ impl TenantEngine {
 }
 
 /// Replays a recorded daemon audit log against a fresh session of the
-/// same scenario: drain to each event's boundary, apply it, then drain
-/// to the recorded end. Returns the final report — canonically
+/// same scenario: advance to each event's boundary, apply it, then
+/// advance to the recorded end. Returns the final report — canonically
 /// serialized, it is byte-identical to the live run's (the module
 /// docs' contract).
 ///
 /// # Errors
 ///
-/// Fails when the trace does not look like a daemon recording (wrong
-/// base population, scale/marker events) or an event fails to apply.
+/// Fails the shared daemon-recording shape check (wrong base
+/// population, scale or marker events) or when an event fails to
+/// apply.
 pub fn replay_trace(scenario: &Scenario, trace: &Trace) -> Result<RunReport, String> {
     let mut session = scenario.session().map_err(|e| e.to_string())?;
-    if trace.num_vms() != session.traffic().num_vms() {
-        return Err(format!(
-            "trace population {} does not match the scenario's {}",
-            trace.num_vms(),
-            session.traffic().num_vms()
-        ));
-    }
-    let drain_to = |session: &mut Session, at_s: f64| {
-        while session.next_event_time().is_some_and(|t| t <= at_s) {
-            if session.step().is_none() {
-                break;
-            }
-        }
-    };
-    for ev in trace.events() {
-        drain_to(&mut session, ev.time_s);
-        match ev.event {
-            TraceEvent::SetRate { u, v, rate } => {
-                session
-                    .apply_traffic_deltas(&[(VmId::new(u), VmId::new(v), rate)])
-                    .map_err(|e| format!("at {}s: {e}", ev.time_s))?;
-            }
-            TraceEvent::PlaceVm { vm, server } => {
-                let (placed, _) = session
-                    .place_vm(Some(ServerId::new(server)))
-                    .map_err(|e| format!("at {}s: {e}", ev.time_s))?;
-                if placed.get() != vm {
-                    return Err(format!(
-                        "replay placed vm{} where the recording placed vm{vm}",
-                        placed.get()
-                    ));
-                }
-            }
-            TraceEvent::RemoveVm { vm } => {
-                session
-                    .remove_vm(VmId::new(vm))
-                    .map_err(|e| format!("at {}s: {e}", ev.time_s))?;
-            }
-            ref fault @ (TraceEvent::HostCrash { .. }
-            | TraceEvent::RackFail { .. }
-            | TraceEvent::LinkDegrade { .. }
-            | TraceEvent::LinkRestore { .. }) => {
-                session
-                    .apply_fault(fault)
-                    .map_err(|e| format!("at {}s: {e}", ev.time_s))?;
-            }
-            TraceEvent::ScalePair { .. } | TraceEvent::ScaleAll { .. } => {
-                return Err(
-                    "daemon recordings contain only absolute re-rates; this trace does not \
-                     look like one"
-                        .to_string(),
-                );
-            }
-            TraceEvent::Marker { .. } => {}
-        }
-    }
-    drain_to(&mut session, trace.end_s());
+    check_daemon_recording(&session, trace)?;
+    session
+        .run_storm(trace.events())
+        .map_err(|e| e.to_string())?;
+    session.advance_to(trace.end_s());
     Ok(session.report())
 }
 

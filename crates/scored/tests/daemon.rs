@@ -15,9 +15,9 @@
 
 use proptest::prelude::*;
 use score_scored::proto::{response_line, Request, Response};
-use score_scored::{replay_dir, Daemon, DaemonConfig, TenantEngine};
+use score_scored::{replay_dir, replay_trace, Daemon, DaemonConfig, TenantEngine};
 use score_sim::{PolicyKind, Scenario};
-use score_trace::TraceEvent;
+use score_trace::{Trace, TraceEvent};
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
@@ -80,6 +80,59 @@ fn recorded_engine_session_replays_byte_for_byte() {
     let on_disk = std::fs::read_to_string(dir.join("t0").join("report.json")).unwrap();
     assert_eq!(on_disk, live_report);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Crash recovery and `replay_trace` share one daemon-recording shape
+/// check: a stream no daemon writes (a marker, or a scale event) is
+/// rejected by both — the replayer with the shape error, the recovering
+/// tenant by setting the stream aside and starting fresh.
+#[test]
+fn recovery_and_replay_reject_the_same_non_daemon_trace() {
+    let scenario = quick_scenario(17);
+    let base = scenario.session().unwrap().traffic().clone();
+    let daemon_like = || {
+        Trace::builder(base.num_vms(), 60.0)
+            .base_traffic(&base)
+            .set_rate(5.0, 0, 1, 1e6)
+    };
+    let foreign = [
+        (
+            "marker",
+            daemon_like().marker(10.0, "phase").build().unwrap(),
+        ),
+        (
+            "scale_all",
+            daemon_like().scale_all(10.0, 2.0).build().unwrap(),
+        ),
+        (
+            "scale_pair",
+            daemon_like().scale_pair(10.0, 0, 1, 2.0).build().unwrap(),
+        ),
+    ];
+    for (tag, trace) in foreign {
+        let err = replay_trace(&scenario, &trace).unwrap_err();
+        assert!(err.contains("does not look like"), "{tag}: {err}");
+
+        let dir = temp_dir(&format!("shape_{tag}"));
+        let tenant = dir.join("t0");
+        std::fs::create_dir_all(&tenant).unwrap();
+        std::fs::write(tenant.join("scenario.json"), scenario.to_json_pretty()).unwrap();
+        trace.save(&tenant.join("trace.jsonl")).unwrap();
+        let engine = TenantEngine::new("t0", scenario.clone(), 2000.0, Some(&dir)).unwrap();
+        assert!(
+            tenant.join("trace.jsonl.stale").is_file(),
+            "{tag}: recovery must set the foreign stream aside"
+        );
+        assert_eq!(
+            engine.session().now_s(),
+            0.0,
+            "{tag}: the tenant starts fresh"
+        );
+        assert_eq!(engine.session().trace_stats().events_applied, 0, "{tag}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+    // The same stream without the foreign event replays fine.
+    replay_trace(&scenario, &daemon_like().build().unwrap()).unwrap();
 }
 
 /// Crash recovery: a tenant killed mid-run (artifacts flushed, no

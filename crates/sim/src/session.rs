@@ -106,9 +106,9 @@ pub struct Session {
     /// pass, then fed each accepted migration's Lemma-3 delta, so sample
     /// ticks read `C_A` in `O(1)` instead of re-walking all VM pairs.
     ledger: CostLedger,
-    /// Set when external code took `cluster_mut`/`split_mut` and may
-    /// have moved VMs behind the ledger's back; the next sampled read
-    /// resyncs with one full pass.
+    /// Set when external code took `split_mut` and may have moved VMs
+    /// behind the ledger's back; the next sampled read resyncs with one
+    /// full pass.
     ledger_dirty: bool,
     initial_cost: f64,
     cost_series: Vec<(f64, f64)>,
@@ -177,8 +177,8 @@ pub struct Session {
 }
 
 /// What one fault event did to the session (see
-/// [`Session::apply_fault`]): which hosts went down, who was evacuated
-/// where, and who could not be rehomed. Consequences are deterministic —
+/// [`Session::apply_trace_event`]): which hosts went down, who was
+/// evacuated where, and who could not be rehomed. Consequences are deterministic —
 /// replaying the same fault against the same state reproduces this
 /// outcome exactly, which is why traces record only the fault itself.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -191,6 +191,23 @@ pub struct FaultOutcome {
     pub evacuated: Vec<(VmId, ServerId)>,
     /// VMs retired because no live server could admit them.
     pub unplaceable: Vec<VmId>,
+}
+
+/// What one [`Session::apply_trace_event`] call did.
+#[derive(Debug, Clone, PartialEq)]
+pub enum EventOutcome {
+    /// A traffic event, a removal or a marker: the number of pair rates
+    /// that changed (the live pairs swept, for a dense `ScaleAll`).
+    Repriced(usize),
+    /// A `PlaceVm`: the admitted VM and its host.
+    Placed {
+        /// The new VM's id.
+        vm: VmId,
+        /// The server it landed on.
+        server: ServerId,
+    },
+    /// A fault event's consequences.
+    Faulted(FaultOutcome),
 }
 
 /// Pre-resolved session-level instruments. Counters mirror the in-state
@@ -477,17 +494,10 @@ impl Session {
         &self.cluster
     }
 
-    /// Mutable cluster access (for baselines like Remedy operating on
-    /// the same materialized instance). Marks the cost ledger stale:
-    /// the next sampled cost pays one full Eq.-(2) resync.
-    pub fn cluster_mut(&mut self) -> &mut Cluster {
-        self.ledger_dirty = true;
-        &mut self.cluster
-    }
-
-    /// Mutable cluster access together with the traffic it serves
-    /// (borrow-friendly form for `baseline.run(cluster, traffic)`).
-    /// Marks the cost ledger stale, like [`Session::cluster_mut`].
+    /// Mutable cluster access together with the traffic it serves, for
+    /// baselines like Remedy operating on the same materialized
+    /// instance (`baseline.run(cluster, traffic)`). Marks the cost
+    /// ledger stale: the next sampled cost pays one full Eq.-(2) resync.
     pub fn split_mut(&mut self) -> (&mut Cluster, &PairTraffic) {
         self.ledger_dirty = true;
         (&mut self.cluster, &self.traffic)
@@ -510,8 +520,8 @@ impl Session {
 
     /// Eq.-(2) cost of the current placement — read from the
     /// incremental ledger in `O(1)`. Only if external code mutated the
-    /// cluster (via [`Session::cluster_mut`] / [`Session::split_mut`])
-    /// does this fall back to one full recomputation.
+    /// cluster (via [`Session::split_mut`]) does this fall back to one
+    /// full recomputation.
     pub fn current_cost(&self) -> f64 {
         if self.ledger_dirty {
             self.model.total_cost(
@@ -742,7 +752,7 @@ impl Session {
     ///
     /// Returns [`ScenarioError::Cluster`] if the new traffic describes
     /// a different VM population; the session is unchanged on error.
-    pub fn rebind_traffic(
+    fn rebind_traffic(
         &mut self,
         traffic: PairTraffic,
         duration_s: f64,
@@ -840,9 +850,10 @@ impl Session {
     /// NIC ledger is patched per changed pair and the cost ledger is
     /// re-priced per changed pair — no full Eq.-(2) pass, no cluster
     /// rebuild — so `C_A(t)` reacts to traffic *between* samples at
-    /// O(changed-pairs) cost. This is the path every trace event takes;
-    /// external callers (benches, custom drivers) may invoke it
-    /// directly.
+    /// O(changed-pairs) cost. This is the batch form of a
+    /// [`TraceEvent::SetRate`]: compiled trace segments and every
+    /// per-event traffic path land here, and external callers (benches,
+    /// custom drivers) may invoke it directly.
     ///
     /// Returns the number of pairs whose rate actually changed.
     ///
@@ -975,7 +986,7 @@ impl Session {
     ///
     /// Returns [`ScenarioError::Workload`] unless `factor` is positive
     /// and finite; the session is unchanged on error.
-    pub fn apply_traffic_scale(&mut self, factor: f64) -> Result<usize, ScenarioError> {
+    fn apply_traffic_scale(&mut self, factor: f64) -> Result<usize, ScenarioError> {
         if !factor.is_finite() || factor <= 0.0 {
             return Err(ScenarioError::Workload(format!(
                 "traffic scale factor must be positive and finite, got {factor}"
@@ -1277,19 +1288,22 @@ impl Session {
         self.queue.peek_time()
     }
 
-    /// Steps until every pending event lies **strictly after** the
-    /// current instant, returning that instant — the only clock states
-    /// where a live driver may apply cluster mutations. A mutation
-    /// recorded at such a drained boundary `t` replays exactly: the
-    /// events a replayer pops with `next_event_time() <= t` are
+    /// Advances the clock to `t_s`: steps until every pending event lies
+    /// **strictly after** both `t_s` and the current instant, and
+    /// returns the instant reached — the only clock states where a
+    /// driver may apply a mutation. `advance_to(now_s())` drains the
+    /// current boundary.
+    ///
+    /// A mutation applied at such a drained boundary `t` replays
+    /// exactly: the events a replayer pops on its way to `t` are
     /// precisely the events the live run popped before mutating, ties
-    /// included (same-timestamp events can never straddle the
-    /// boundary, because none are left pending at it).
-    pub fn drain_to_boundary(&mut self) -> f64 {
+    /// included (same-timestamp events can never straddle the boundary,
+    /// because none are left pending at it). Stops early at the horizon.
+    pub fn advance_to(&mut self, t_s: f64) -> f64 {
         while self
             .queue
             .peek_time()
-            .is_some_and(|t| t <= self.queue.now_s())
+            .is_some_and(|t| t <= t_s.max(self.queue.now_s()))
         {
             if self.step().is_none() {
                 break;
@@ -1298,29 +1312,35 @@ impl Session {
         self.queue.now_s()
     }
 
-    /// Places a newly arriving VM on `server` (or the deterministic
-    /// [`Cluster::choose_server`] pick when `None`) **live**, without
-    /// resetting the clock, ring, or accumulators: the newcomer gets the
-    /// next dense id, joins the token ring, and starts with zero traffic
-    /// — so `C_A` is untouched and the incremental ledger stays exact
-    /// with no repricing at all. If the ring was empty (every prior VM
+    /// Places a newly arriving VM as id `vm` on `server` **live**,
+    /// without resetting the clock, ring, or accumulators: the newcomer
+    /// joins the token ring and starts with zero traffic — so `C_A` is
+    /// untouched and the incremental ledger stays exact with no
+    /// repricing at all. If the ring was empty (every prior VM
     /// departed), the token chain is revived: a fresh `TokenArrive`
     /// fires one hold+pass from now. Recorded as a
-    /// [`score_trace::TraceEvent::PlaceVm`] when recording is on.
+    /// [`TraceEvent::PlaceVm`] when recording is on.
     ///
     /// # Errors
     ///
-    /// Returns [`ScenarioError::Cluster`] when the explicit target
-    /// rejects the VM or no server has capacity; the session is
-    /// unchanged on error.
-    pub fn place_vm(
-        &mut self,
-        server: Option<ServerId>,
-    ) -> Result<(VmId, ServerId), ScenarioError> {
+    /// Returns [`ScenarioError::VmIdMismatch`] unless `vm` is the next
+    /// dense id (ids are never reused), and [`ScenarioError::Cluster`]
+    /// when `server` rejects the VM; the session is unchanged on error.
+    fn place_vm(&mut self, vm: VmId, server: ServerId) -> Result<ServerId, ScenarioError> {
+        let next = self.traffic.num_vms();
+        if vm.get() != next {
+            return Err(ScenarioError::VmIdMismatch {
+                named: vm.get(),
+                next,
+            });
+        }
         let spec = self.scenario.resources.vm;
-        let (vm, host) = self.cluster.place_vm(spec, server)?;
+        let (placed, host) = self.cluster.place_vm(spec, Some(server))?;
         let mirrored = self.traffic.push_vm();
-        debug_assert_eq!(vm, mirrored, "session and cluster ids diverged");
+        debug_assert!(
+            placed == vm && mirrored == vm,
+            "session and cluster ids diverged"
+        );
         self.ring.add_vm(vm);
         if !self.token_event_pending && !self.finished {
             self.queue.schedule_in(
@@ -1336,7 +1356,7 @@ impl Session {
                 host.get(),
             );
         }
-        Ok((vm, host))
+        Ok(host)
     }
 
     /// Removes a live VM **in place**: its surviving pair rates are
@@ -1347,19 +1367,21 @@ impl Session {
     /// its server resources are released, the id is tombstoned (ids stay
     /// dense and stable), and it leaves the token ring — if it held the
     /// token, the pending pass simply finds the successor. Recorded as a
-    /// [`score_trace::TraceEvent::RemoveVm`] when recording is on.
+    /// [`TraceEvent::RemoveVm`] when recording is on. Returns the number
+    /// of pairs zeroed.
     ///
     /// # Errors
     ///
     /// Returns [`ScenarioError::Cluster`] for an out-of-range or
     /// already-removed id; the session is unchanged on error.
-    pub fn remove_vm(&mut self, vm: VmId) -> Result<(), ScenarioError> {
+    fn remove_vm(&mut self, vm: VmId) -> Result<usize, ScenarioError> {
         if !self.cluster.is_active(vm) {
             return Err(ClusterError::UnknownVm { vm }.into());
         }
         let peers: Vec<VmId> = self.traffic.peers(vm).iter().map(|&(p, _)| p).collect();
+        let mut zeroed = 0;
         for peer in peers {
-            self.apply_traffic_deltas(&[(vm, peer, 0.0)])?;
+            zeroed += self.apply_traffic_deltas(&[(vm, peer, 0.0)])?;
         }
         // All pairs are quiet now, so this only releases resources and
         // tombstones — the returned change set is empty by construction.
@@ -1369,11 +1391,11 @@ impl Session {
         if let Some(rec) = &mut self.recorder {
             rec.record_remove(self.recorder_offset_s + self.queue.now_s(), vm.get());
         }
-        Ok(())
+        Ok(zeroed)
     }
 
     /// Applies one fault event to the running session and re-plans
-    /// around it — the adversity engine's entry point:
+    /// around it — the adversity engine:
     ///
     /// * `HostCrash` marks the server down and **evacuates** its live
     ///   VMs in ascending id order: each victim is rehomed on the
@@ -1395,20 +1417,11 @@ impl Session {
     /// state and are re-derived on replay, which is what keeps an
     /// adversity log byte-stable.
     ///
-    /// Live drivers must call this at drained boundaries only
-    /// ([`Session::drain_to_boundary`]), like every other mutation.
-    ///
     /// # Errors
     ///
-    /// Returns [`ScenarioError::Workload`] for a non-fault event, an
-    /// out-of-range rack, or an invalid degradation factor; the session
-    /// is unchanged on error.
-    pub fn apply_fault(&mut self, event: &TraceEvent) -> Result<FaultOutcome, ScenarioError> {
-        if !event.is_fault() {
-            return Err(ScenarioError::Workload(format!(
-                "apply_fault takes fault events only, got {event:?}"
-            )));
-        }
+    /// Returns [`ScenarioError::Workload`] for an out-of-range rack or
+    /// an invalid degradation factor; the session is unchanged on error.
+    fn apply_fault(&mut self, event: &TraceEvent) -> Result<FaultOutcome, ScenarioError> {
         let now_s = self.queue.now_s();
         self.freshen_ledger();
         let outcome = match event {
@@ -1446,7 +1459,7 @@ impl Session {
                 self.degraded_tiers.remove(tier);
                 FaultOutcome::default()
             }
-            _ => unreachable!("is_fault() admitted a non-fault event"),
+            _ => unreachable!("apply_trace_event routes only fault events here"),
         };
         self.recovery.faults_injected += 1;
         self.last_fault_s = Some(now_s);
@@ -1460,7 +1473,7 @@ impl Session {
     }
 
     /// Crashes `servers` in the given order, evacuating or retiring
-    /// every victim (see [`Session::apply_fault`]).
+    /// every victim (see [`Session::apply_trace_event`]).
     fn crash_hosts(&mut self, servers: &[ServerId]) -> Result<FaultOutcome, ScenarioError> {
         let now_s = self.queue.now_s();
         let mut outcome = FaultOutcome::default();
@@ -1536,17 +1549,20 @@ impl Session {
         Ok(outcome)
     }
 
-    /// Replays one raw trace event against the live session — the
-    /// single dispatch point shared by fault-trace replay (fault traces
-    /// cannot compile; see [`score_trace::Trace::compile`]) and the
-    /// daemon's socket protocol:
+    /// Applies one raw trace event to the live session — the one
+    /// per-event mutation entry, shared by fault-trace replay (fault
+    /// traces cannot compile; see [`score_trace::Trace::compile`]),
+    /// storms and the daemon's socket protocol:
     ///
-    /// * traffic events take the sparse delta paths
-    ///   ([`Session::apply_traffic_deltas`] /
-    ///   [`Session::apply_traffic_scale`]);
-    /// * churn events take [`Session::place_vm`] /
-    ///   [`Session::remove_vm`];
-    /// * fault events take [`Session::apply_fault`];
+    /// * traffic events take the sparse delta path
+    ///   ([`Session::apply_traffic_deltas`]); `ScaleAll` sweeps every
+    ///   pair densely unless a recorder or forecaster must see the
+    ///   per-pair updates;
+    /// * `PlaceVm` admits the next dense id on the named server;
+    ///   `RemoveVm` zeroes the VM's pairs and retires it;
+    /// * fault events evacuate or retire the victims of crashed hosts
+    ///   and degrade or restore link tiers, recording only the fault
+    ///   itself (its consequences re-derive on replay);
     /// * markers are no-ops (segment semantics belong to the compiled
     ///   path).
     ///
@@ -1555,52 +1571,57 @@ impl Session {
     /// resurrect the pair (`SetRate` on the same pair stays an error —
     /// an absolute re-rate of a dead VM is a driver bug).
     ///
+    /// Live drivers apply events at drained boundaries only
+    /// ([`Session::advance_to`]).
+    ///
     /// # Errors
     ///
-    /// Propagates the underlying path's validation errors; the session
-    /// is unchanged on error.
-    pub fn apply_trace_event(&mut self, event: &TraceEvent) -> Result<(), ScenarioError> {
-        match event {
-            TraceEvent::SetRate { u, v, rate } => {
-                self.apply_traffic_deltas(&[(VmId::new(*u), VmId::new(*v), *rate)])?;
-            }
+    /// Propagates the underlying path's validation errors — including
+    /// [`ScenarioError::VmIdMismatch`] for a `PlaceVm` that does not
+    /// name the next dense id; the session is unchanged on error.
+    pub fn apply_trace_event(&mut self, event: &TraceEvent) -> Result<EventOutcome, ScenarioError> {
+        Ok(match *event {
+            TraceEvent::SetRate { u, v, rate } => EventOutcome::Repriced(
+                self.apply_traffic_deltas(&[(VmId::new(u), VmId::new(v), rate)])?,
+            ),
             TraceEvent::ScalePair { u, v, factor } => {
-                if !factor.is_finite() || *factor < 0.0 {
+                if !factor.is_finite() || factor < 0.0 {
                     return Err(ScenarioError::Workload(format!(
                         "pair scale factor must be finite and >= 0, got {factor}"
                     )));
                 }
-                let num_vms = self.traffic.num_vms();
-                if *u >= num_vms || *v >= num_vms {
-                    return Ok(());
-                }
-                let (u, v) = (VmId::new(*u), VmId::new(*v));
-                if !self.cluster.is_active(u) || !self.cluster.is_active(v) {
-                    return Ok(()); // validated no-op: never resurrect
-                }
-                let old = self.traffic.rate(u, v);
-                if old != 0.0 {
-                    self.apply_traffic_deltas(&[(u, v, (old * factor).min(f64::MAX))])?;
-                }
+                // A dead or out-of-range endpoint reads as a zero rate:
+                // a validated no-op that never resurrects the pair.
+                let (u, v) = (VmId::new(u), VmId::new(v));
+                let live =
+                    |vm: VmId| vm.get() < self.traffic.num_vms() && self.cluster.is_active(vm);
+                let old = if live(u) && live(v) {
+                    self.traffic.rate(u, v)
+                } else {
+                    0.0
+                };
+                let scaled = [(u, v, (old * factor).min(f64::MAX))];
+                EventOutcome::Repriced(if old == 0.0 {
+                    0
+                } else {
+                    self.apply_traffic_deltas(&scaled)?
+                })
             }
             TraceEvent::ScaleAll { factor } => {
-                self.apply_traffic_scale(*factor)?;
+                EventOutcome::Repriced(self.apply_traffic_scale(factor)?)
             }
-            TraceEvent::Marker { .. } => {}
-            TraceEvent::PlaceVm { server, .. } => {
-                self.place_vm(Some(ServerId::new(*server)))?;
+            TraceEvent::Marker { .. } => EventOutcome::Repriced(0),
+            TraceEvent::PlaceVm { vm, server } => {
+                let vm = VmId::new(vm);
+                let server = self.place_vm(vm, ServerId::new(server))?;
+                EventOutcome::Placed { vm, server }
             }
-            TraceEvent::RemoveVm { vm } => {
-                self.remove_vm(VmId::new(*vm))?;
-            }
+            TraceEvent::RemoveVm { vm } => EventOutcome::Repriced(self.remove_vm(VmId::new(vm))?),
             TraceEvent::HostCrash { .. }
             | TraceEvent::RackFail { .. }
             | TraceEvent::LinkDegrade { .. }
-            | TraceEvent::LinkRestore { .. } => {
-                self.apply_fault(event)?;
-            }
-        }
-        Ok(())
+            | TraceEvent::LinkRestore { .. } => EventOutcome::Faulted(self.apply_fault(event)?),
+        })
     }
 
     /// Link tiers currently degraded, as `(tier, factor)` pairs in
@@ -1609,27 +1630,24 @@ impl Session {
         self.degraded_tiers.iter().map(|(&t, &f)| (t, f)).collect()
     }
 
-    /// Drives a timed event stream (typically a
-    /// [`score_trace::fault_storm_events`] storm, or the events of a
-    /// recorded adversity trace) against the live run: the clock
-    /// advances through pending ring/sample events up to each entry's
-    /// firing time, the boundary is drained, and the entry is applied
-    /// via [`Session::apply_trace_event`]. The caller usually follows
-    /// with [`Session::run_to_horizon`] to let the survivors
-    /// re-converge. Entries must be sorted by `time_s` (storm
-    /// generators and recorded traces both are).
+    /// Drives a timed event stream (a
+    /// [`score_trace::fault_storm_events`] storm, the events of a
+    /// recorded adversity trace, or a daemon audit log) against the
+    /// live run: the clock advances to each entry's firing time
+    /// ([`Session::advance_to`]) and the entry is applied via
+    /// [`Session::apply_trace_event`]. The caller usually follows with
+    /// [`Session::run_to_horizon`] to let the survivors re-converge, or
+    /// with `advance_to` to a recorded end. Entries must be sorted by
+    /// `time_s` (storm generators and recorded traces both are).
     ///
     /// # Errors
     ///
-    /// Propagates the first event's validation error; earlier events
-    /// stay applied (matching a live driver that dies mid-storm).
+    /// Propagates the first failing event's validation error; earlier
+    /// events stay applied (matching a live driver that dies
+    /// mid-storm).
     pub fn run_storm(&mut self, events: &[TimedEvent]) -> Result<(), ScenarioError> {
         for ev in events {
-            while self.next_event_time().is_some_and(|t| t <= ev.time_s) {
-                if self.step().is_none() {
-                    break;
-                }
-            }
+            self.advance_to(ev.time_s);
             self.apply_trace_event(&ev.event)?;
         }
         Ok(())
@@ -1652,6 +1670,22 @@ mod tests {
             token_pass_s: 0.01,
         };
         s
+    }
+
+    /// Places a newcomer the way a server-less daemon `Place` does: on
+    /// the `Cluster::choose_server` pick, under the next dense id.
+    fn place_anywhere(session: &mut Session) -> Result<(VmId, ServerId), ScenarioError> {
+        let server = session
+            .cluster()
+            .choose_server(&session.scenario().resources.vm)?;
+        let event = TraceEvent::PlaceVm {
+            vm: session.traffic().num_vms(),
+            server: server.get(),
+        };
+        match session.apply_trace_event(&event)? {
+            EventOutcome::Placed { vm, server } => Ok((vm, server)),
+            other => panic!("PlaceVm produced {other:?}"),
+        }
     }
 
     #[test]
@@ -2391,7 +2425,7 @@ mod tests {
             .unwrap();
         session.run(1);
         let before = session.current_cost();
-        let (vm, host) = session.place_vm(None).unwrap();
+        let (vm, host) = place_anywhere(&mut session).unwrap();
         assert_eq!(vm.get(), session.cluster().num_vms() - 1);
         assert_eq!(session.cluster().allocation().server_of(vm), host);
         // A newcomer idles at zero rate: C_A is untouched.
@@ -2455,64 +2489,87 @@ mod tests {
         assert_eq!(session.ledger_resyncs(), 0);
         // The cluster keeps accepting arrivals after the horizon (the
         // daemon mutates state between runs); ids stay dense.
-        let (vm, _) = session.place_vm(None).unwrap();
+        let (vm, _) = place_anywhere(&mut session).unwrap();
         assert_eq!(vm.get(), n);
     }
 
     #[test]
-    fn recorded_churn_replays_identically() {
-        use score_trace::TraceEvent;
+    fn place_event_must_name_the_next_dense_id() {
+        // Batch drivers (`run_storm`, fault replay) apply `PlaceVm`
+        // events as recorded; one naming any id but the next dense one
+        // would silently file the newcomer under a different id.
+        let mut session = quick_scenario(PolicyKind::RoundRobin, 24)
+            .session()
+            .unwrap();
+        session.start_trace_recording();
+        session.run(1);
+        let next = session.traffic().num_vms();
+        let before = session.report();
+        for named in [next + 1, next - 1, 0] {
+            let err = session
+                .apply_trace_event(&TraceEvent::PlaceVm {
+                    vm: named,
+                    server: 0,
+                })
+                .unwrap_err();
+            assert_eq!(err, ScenarioError::VmIdMismatch { named, next });
+        }
+        // The session is unchanged: no id consumed, nothing recorded.
+        assert_eq!(session.traffic().num_vms(), next);
+        assert_eq!(session.cluster().num_vms(), next);
+        assert!(session.trace_recorder_mut().unwrap().events().is_empty());
+        assert_eq!(session.report(), before);
+        // The storm driver surfaces the same error.
+        let storm = [TimedEvent {
+            time_s: session.now_s(),
+            event: TraceEvent::PlaceVm {
+                vm: next + 3,
+                server: 0,
+            },
+        }];
+        assert!(matches!(
+            session.run_storm(&storm),
+            Err(ScenarioError::VmIdMismatch { .. })
+        ));
+        // Naming the next id places it.
+        assert_eq!(
+            session
+                .apply_trace_event(&TraceEvent::PlaceVm {
+                    vm: next,
+                    server: 0,
+                })
+                .unwrap(),
+            EventOutcome::Placed {
+                vm: VmId::new(next),
+                server: ServerId::new(0),
+            }
+        );
+    }
 
+    #[test]
+    fn recorded_churn_replays_identically() {
         let mut live = quick_scenario(PolicyKind::HighestLevelFirst, 31)
             .session()
             .unwrap();
         live.start_trace_recording();
         live.run(1);
-        live.drain_to_boundary();
-        let (vm, _) = live.place_vm(None).unwrap();
+        live.advance_to(live.now_s());
+        let (vm, _) = place_anywhere(&mut live).unwrap();
         live.apply_traffic_deltas(&[(vm, VmId::new(2), 8e6)])
             .unwrap();
         live.run(1);
-        live.drain_to_boundary();
+        live.advance_to(live.now_s());
         live.remove_vm(VmId::new(0)).unwrap();
         live.run_to_horizon();
         let trace = live.recorded_trace().unwrap();
         let live_report = live.report();
 
-        // Replay the raw event stream against a fresh session: drain to
-        // each event's boundary, then apply the same mutation.
+        // Replay the raw event stream against a fresh session: advance
+        // to each event's boundary, then apply the same mutation.
         let mut replay = quick_scenario(PolicyKind::HighestLevelFirst, 31)
             .session()
             .unwrap();
-        for ev in trace.events() {
-            while replay.next_event_time().is_some_and(|t| t <= ev.time_s) {
-                if replay.step().is_none() {
-                    break;
-                }
-            }
-            match ev.event {
-                TraceEvent::SetRate { u, v, rate } => {
-                    replay
-                        .apply_traffic_deltas(&[(VmId::new(u), VmId::new(v), rate)])
-                        .unwrap();
-                }
-                TraceEvent::PlaceVm { server, .. } => {
-                    replay.place_vm(Some(ServerId::new(server))).unwrap();
-                }
-                TraceEvent::RemoveVm { vm } => {
-                    replay.remove_vm(VmId::new(vm)).unwrap();
-                }
-                TraceEvent::ScalePair { .. }
-                | TraceEvent::ScaleAll { .. }
-                | TraceEvent::Marker { .. } => {}
-                ref fault @ (TraceEvent::HostCrash { .. }
-                | TraceEvent::RackFail { .. }
-                | TraceEvent::LinkDegrade { .. }
-                | TraceEvent::LinkRestore { .. }) => {
-                    replay.apply_fault(fault).unwrap();
-                }
-            }
-        }
+        replay.run_storm(trace.events()).unwrap();
         replay.run_to_horizon();
         let strip = |mut r: RunReport| {
             r.trace.apply_ns_total = 0;
@@ -2556,7 +2613,7 @@ mod tests {
                 .session()
                 .unwrap();
             session.run(1);
-            session.drain_to_boundary();
+            session.advance_to(session.now_s());
             let server = session.cluster().allocation().server_of(VmId::new(0));
             let victims = session.cluster().allocation().vms_on(server).len();
             assert!(victims > 0);
@@ -2610,7 +2667,7 @@ mod tests {
                 .session()
                 .unwrap();
             session.run(1);
-            session.drain_to_boundary();
+            session.advance_to(session.now_s());
             let rack = session
                 .topo()
                 .rack_of(session.cluster().allocation().server_of(VmId::new(1)));
@@ -2672,12 +2729,15 @@ mod tests {
                     Err(ScenarioError::Workload(_))
                 ));
             }
-            assert!(matches!(
-                session.apply_fault(&TraceEvent::Marker {
+            // Non-fault events never count as faults.
+            let faults = session.recovery_stats().faults_injected;
+            assert_eq!(
+                session.apply_trace_event(&TraceEvent::Marker {
                     label: "not a fault".into(),
                 }),
-                Err(ScenarioError::Workload(_))
-            ));
+                Ok(EventOutcome::Repriced(0))
+            );
+            assert_eq!(session.recovery_stats().faults_injected, faults);
         }
 
         #[test]
@@ -2686,7 +2746,7 @@ mod tests {
                 .session()
                 .unwrap();
             session.run(1);
-            session.drain_to_boundary();
+            session.advance_to(session.now_s());
             let racks = session.topo().num_racks() as u32;
             for rack in 0..racks {
                 session.apply_fault(&TraceEvent::RackFail { rack }).unwrap();
@@ -2725,12 +2785,7 @@ mod tests {
                 .session()
                 .unwrap();
             for ev in &storm {
-                while session.next_event_time().is_some_and(|t| t <= ev.time_s) {
-                    if session.step().is_none() {
-                        break;
-                    }
-                }
-                session.apply_fault(&ev.event).unwrap();
+                session.run_storm(std::slice::from_ref(ev)).unwrap();
                 assert_ledger_exact(&session);
             }
             session.run_to_horizon();
@@ -2760,14 +2815,7 @@ mod tests {
                 .session()
                 .unwrap();
             live.start_trace_recording();
-            for ev in &storm {
-                while live.next_event_time().is_some_and(|t| t <= ev.time_s) {
-                    if live.step().is_none() {
-                        break;
-                    }
-                }
-                live.apply_fault(&ev.event).unwrap();
-            }
+            live.run_storm(&storm).unwrap();
             live.run_to_horizon();
             let trace = live.recorded_trace().unwrap();
             assert!(trace.has_faults());
@@ -2781,14 +2829,7 @@ mod tests {
             let mut replay = quick_scenario(PolicyKind::HighestLevelFirst, 61)
                 .session()
                 .unwrap();
-            for ev in trace.events() {
-                while replay.next_event_time().is_some_and(|t| t <= ev.time_s) {
-                    if replay.step().is_none() {
-                        break;
-                    }
-                }
-                replay.apply_trace_event(&ev.event).unwrap();
-            }
+            replay.run_storm(trace.events()).unwrap();
             replay.run_to_horizon();
             let strip = |mut r: RunReport| {
                 r.trace.apply_ns_total = 0;
@@ -2861,7 +2902,7 @@ mod tests {
                     let n = session.cluster().num_vms();
                     match kind {
                         0 => {
-                            let _ = session.place_vm(None);
+                            let _ = place_anywhere(&mut session);
                         }
                         1 => {
                             let _ = session.remove_vm(VmId::new(a % n));

@@ -66,6 +66,14 @@ pub enum ScenarioError {
     Engine(String),
     /// Building the cluster failed (capacity violated by the placement).
     Cluster(ClusterError),
+    /// A `PlaceVm` event names a VM id other than the next dense id the
+    /// session assigns (ids are dense and never reused).
+    VmIdMismatch {
+        /// The id the event names.
+        named: u32,
+        /// The id the placement would receive.
+        next: u32,
+    },
 }
 
 impl fmt::Display for ScenarioError {
@@ -77,6 +85,9 @@ impl fmt::Display for ScenarioError {
             ScenarioError::Timing(msg) => write!(f, "invalid timing spec: {msg}"),
             ScenarioError::Engine(msg) => write!(f, "invalid engine spec: {msg}"),
             ScenarioError::Cluster(e) => write!(f, "cluster construction failed: {e}"),
+            ScenarioError::VmIdMismatch { named, next } => {
+                write!(f, "PlaceVm names vm{named}, but the next VM id is vm{next}")
+            }
         }
     }
 }
@@ -1334,11 +1345,6 @@ impl ScenarioBuilder {
         self.intensity(TrafficIntensity::Sparse).workload_seed(seed)
     }
 
-    /// Medium workload with the given seed.
-    pub fn medium_traffic(self, seed: u64) -> Self {
-        self.intensity(TrafficIntensity::Medium).workload_seed(seed)
-    }
-
     /// Dense workload with the given seed.
     pub fn dense_traffic(self, seed: u64) -> Self {
         self.intensity(TrafficIntensity::Dense).workload_seed(seed)
@@ -1465,19 +1471,6 @@ impl ScenarioBuilder {
     /// Sets the simulation horizon in seconds.
     pub fn horizon(mut self, t_end_s: f64) -> Self {
         self.timing.t_end_s = t_end_s;
-        self
-    }
-
-    /// Sets the cost sampling interval in seconds.
-    pub fn sample_interval(mut self, interval_s: f64) -> Self {
-        self.timing.sample_interval_s = interval_s;
-        self
-    }
-
-    /// Sets token hold and pass delays in seconds.
-    pub fn token_timing(mut self, hold_s: f64, pass_s: f64) -> Self {
-        self.timing.token_hold_s = hold_s;
-        self.timing.token_pass_s = pass_s;
         self
     }
 

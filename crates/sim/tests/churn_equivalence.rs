@@ -2,8 +2,8 @@
 //! `PairTraffic` (slot arrays + free-list recycling + per-VM adjacency)
 //! must be observationally identical to the obvious reference — a
 //! sorted map of canonical `(u, v) → rate` entries — under arbitrary
-//! interleavings of `place_vm` / `remove_vm` / traffic patches, on both
-//! topology families.
+//! interleavings of `PlaceVm` / `RemoveVm` events and traffic patches,
+//! on both topology families.
 //!
 //! Checked after every operation:
 //!
@@ -16,8 +16,9 @@
 //!   Eq.-(2) pass over the reference-rebuilt matrix, with zero resyncs.
 
 use proptest::prelude::*;
-use score_sim::{PolicyKind, Scenario, Session};
+use score_sim::{EventOutcome, PolicyKind, Scenario, Session};
 use score_topology::VmId;
+use score_trace::TraceEvent;
 use std::collections::BTreeMap;
 
 fn scenario(fat_tree: bool, seed: u64) -> Scenario {
@@ -131,14 +132,26 @@ fn drive(fat_tree: bool, seed: u64, ops: &[Op]) {
     for op in ops {
         match *op {
             Op::Place => {
-                if let Ok((vm, _server)) = session.place_vm(None) {
+                let vm_spec = session.scenario().resources.vm;
+                if let Ok(server) = session.cluster().choose_server(&vm_spec) {
+                    let event = TraceEvent::PlaceVm {
+                        vm: session.traffic().num_vms(),
+                        server: server.get(),
+                    };
+                    let EventOutcome::Placed { vm, .. } =
+                        session.apply_trace_event(&event).unwrap()
+                    else {
+                        panic!("PlaceVm must place");
+                    };
                     live.push(vm.get());
                 }
             }
             Op::Remove { pick } => {
                 if live.len() > 2 {
                     let vm = live.remove(pick % live.len());
-                    session.remove_vm(VmId::new(vm)).unwrap();
+                    session
+                        .apply_trace_event(&TraceEvent::RemoveVm { vm })
+                        .unwrap();
                     reference.retain(|&(u, v), _| u != vm && v != vm);
                 }
             }

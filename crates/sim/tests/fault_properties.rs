@@ -14,7 +14,7 @@
 //!   every live VM on a live host.
 
 use proptest::prelude::*;
-use score_sim::{PolicyKind, RunReport, Scenario, Session};
+use score_sim::{EventOutcome, FaultOutcome, PolicyKind, RunReport, Scenario, Session};
 use score_topology::{RackId, ServerId, VmId};
 use score_trace::TraceEvent;
 
@@ -92,6 +92,15 @@ fn assert_no_vm_on_dead_host(session: &Session) {
     }
 }
 
+/// Applies a fault event at the current drained boundary.
+fn fault(session: &mut Session, event: TraceEvent) -> FaultOutcome {
+    session.advance_to(session.now_s());
+    match session.apply_trace_event(&event).unwrap() {
+        EventOutcome::Faulted(outcome) => outcome,
+        other => panic!("fault event produced {other:?}"),
+    }
+}
+
 fn strip(mut r: RunReport) -> RunReport {
     r.trace.apply_ns_total = 0;
     r.trace.apply_ns_max = 0;
@@ -112,11 +121,8 @@ fn drive(fat_tree: bool, seed: u64, ops: &[Op]) {
     for op in ops {
         match *op {
             Op::Crash { pick } => {
-                session.drain_to_boundary();
                 let server = (pick % num_servers) as u32;
-                let outcome = session
-                    .apply_fault(&TraceEvent::HostCrash { server })
-                    .unwrap();
+                let outcome = fault(&mut session, TraceEvent::HostCrash { server });
                 let now = session.now_s();
                 downed.extend(outcome.hosts_failed.iter().map(|&s| (now, s)));
                 faults += 1;
@@ -124,9 +130,8 @@ fn drive(fat_tree: bool, seed: u64, ops: &[Op]) {
                 assert_no_vm_on_dead_host(&session);
             }
             Op::RackFail { pick } => {
-                session.drain_to_boundary();
                 let rack = (pick % num_racks) as u32;
-                let outcome = session.apply_fault(&TraceEvent::RackFail { rack }).unwrap();
+                let outcome = fault(&mut session, TraceEvent::RackFail { rack });
                 let now = session.now_s();
                 downed.extend(outcome.hosts_failed.iter().map(|&s| (now, s)));
                 faults += 1;
@@ -134,24 +139,21 @@ fn drive(fat_tree: bool, seed: u64, ops: &[Op]) {
                 assert_no_vm_on_dead_host(&session);
             }
             Op::Degrade { tenths } => {
-                session.drain_to_boundary();
-                session
-                    .apply_fault(&TraceEvent::LinkDegrade {
+                fault(
+                    &mut session,
+                    TraceEvent::LinkDegrade {
                         tier: 0,
                         factor: f64::from(tenths) / 10.0,
-                    })
-                    .unwrap();
+                    },
+                );
                 faults += 1;
             }
             Op::Restore => {
-                session.drain_to_boundary();
-                session
-                    .apply_fault(&TraceEvent::LinkRestore { tier: 0 })
-                    .unwrap();
+                fault(&mut session, TraceEvent::LinkRestore { tier: 0 });
                 faults += 1;
             }
             Op::Patch { pick, peer, rate } => {
-                session.drain_to_boundary();
+                session.advance_to(session.now_s());
                 let (u, v) = (
                     (pick % num_vms as usize) as u32,
                     (peer % num_vms as usize) as u32,
@@ -200,21 +202,14 @@ fn drive(fat_tree: bool, seed: u64, ops: &[Op]) {
         assert!(!session.cluster().host_is_up(s));
     }
 
-    // Byte-identical replay from the adversity log: drain to each
+    // Byte-identical replay from the adversity log: advance to each
     // event's boundary, re-apply, compare the full reports.
     let trace = session.recorded_trace().unwrap();
     if faults > 0 {
         assert!(trace.has_faults(), "fault events must be in the log");
     }
     let mut replay = scenario(fat_tree, seed).session().unwrap();
-    for ev in trace.events() {
-        while replay.next_event_time().is_some_and(|t| t <= ev.time_s) {
-            if replay.step().is_none() {
-                break;
-            }
-        }
-        replay.apply_trace_event(&ev.event).unwrap();
-    }
+    replay.run_storm(trace.events()).unwrap();
     replay.run_to_horizon();
     assert_eq!(
         strip(report),
@@ -254,13 +249,10 @@ proptest! {
 fn rack_sweep_pin() {
     let mut session = scenario(false, 7).session().unwrap();
     session.run(1);
-    session.drain_to_boundary();
     let rack = session
         .topo()
         .rack_of(session.cluster().allocation().server_of(VmId::new(0)));
-    let outcome = session
-        .apply_fault(&TraceEvent::RackFail { rack: rack.get() })
-        .unwrap();
+    let outcome = fault(&mut session, TraceEvent::RackFail { rack: rack.get() });
     let expected: Vec<ServerId> = session
         .topo()
         .servers_in_rack(RackId::new(rack.get()))

@@ -129,11 +129,6 @@ impl NetGraph {
         id
     }
 
-    /// Number of nodes in the graph.
-    pub fn num_nodes(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Number of links in the graph.
     pub fn num_links(&self) -> usize {
         self.links.len()

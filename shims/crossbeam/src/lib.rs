@@ -1,56 +1,13 @@
 //! Workspace-local stand-in for `crossbeam` (crates.io is unreachable in
-//! this build environment). Two submodules are provided — the crossbeam
-//! APIs the workspace uses:
-//!
-//! * [`thread::scope`] — scoped threads, implemented over
-//!   `std::thread::scope`;
-//! * [`deque`] — the work-stealing deque triple
-//!   ([`deque::Worker`] / [`deque::Stealer`] / [`deque::Injector`])
-//!   that backs the `rayon` shim's scheduler. The upstream crate is a
-//!   lock-free Chase-Lev deque; this stand-in keeps the exact same API
-//!   and stealing semantics (owner pops LIFO, thieves steal FIFO from
-//!   the opposite end) over a mutex-protected ring, which is plenty for
-//!   the coarse-grained tasks the workspace schedules (whole simulation
-//!   cells, not micro-tasks).
-
-/// Scoped threads.
-pub mod thread {
-    use std::any::Any;
-
-    /// Handle for spawning threads inside a [`scope`]; mirrors
-    /// `crossbeam::thread::Scope` (spawn closures receive the scope so
-    /// they can spawn further threads).
-    #[derive(Debug)]
-    pub struct Scope<'scope, 'env: 'scope>(&'scope std::thread::Scope<'scope, 'env>);
-
-    impl<'scope, 'env> Scope<'scope, 'env> {
-        /// Spawns a thread inside the scope.
-        pub fn spawn<F, T>(&self, f: F) -> std::thread::ScopedJoinHandle<'scope, T>
-        where
-            F: FnOnce(&Scope<'scope, 'env>) -> T + Send + 'scope,
-            T: Send + 'scope,
-        {
-            let inner = self.0;
-            inner.spawn(move || f(&Scope(inner)))
-        }
-    }
-
-    /// Runs `f` with a scope whose spawned threads are all joined before
-    /// `scope` returns.
-    ///
-    /// # Errors
-    ///
-    /// The real crossbeam returns `Err` when a child thread panicked;
-    /// `std::thread::scope` resumes the panic on the parent instead, so
-    /// this shim only ever returns `Ok` (callers' `.expect(...)` on the
-    /// result is then a no-op, and a child panic still propagates).
-    pub fn scope<'env, F, R>(f: F) -> Result<R, Box<dyn Any + Send + 'static>>
-    where
-        F: for<'scope> FnOnce(&Scope<'scope, 'env>) -> R,
-    {
-        Ok(std::thread::scope(|s| f(&Scope(s))))
-    }
-}
+//! this build environment). It provides the one crossbeam API the
+//! workspace uses: [`deque`], the work-stealing deque triple
+//! ([`deque::Worker`] / [`deque::Stealer`] / [`deque::Injector`])
+//! that backs the `rayon` shim's scheduler. The upstream crate is a
+//! lock-free Chase-Lev deque; this stand-in keeps the exact same API
+//! and stealing semantics (owner pops LIFO, thieves steal FIFO from
+//! the opposite end) over a mutex-protected ring, which is plenty for
+//! the coarse-grained tasks the workspace schedules (whole simulation
+//! cells, not micro-tasks).
 
 /// Work-stealing deques (the `crossbeam-deque` subset).
 ///
@@ -275,22 +232,6 @@ pub mod deque {
 #[cfg(test)]
 mod tests {
     use super::deque::{Injector, Steal, Worker};
-    use super::thread;
-
-    #[test]
-    fn scoped_threads_join_and_borrow() {
-        let data = [1u64, 2, 3, 4];
-        let mut sums = vec![0u64; 2];
-        thread::scope(|s| {
-            for (slot, chunk) in sums.iter_mut().zip(data.chunks(2)) {
-                s.spawn(move |_| {
-                    *slot = chunk.iter().sum();
-                });
-            }
-        })
-        .expect("no panics");
-        assert_eq!(sums, vec![3, 7]);
-    }
 
     #[test]
     fn worker_pops_lifo_stealer_steals_fifo() {
@@ -350,16 +291,5 @@ mod tests {
         assert_eq!(all, (0..64).collect::<Vec<_>>());
         assert!(injector.is_empty());
         assert_eq!(injector.len(), 0);
-    }
-
-    #[test]
-    fn nested_spawn_via_scope_arg() {
-        let result = thread::scope(|s| {
-            s.spawn(|inner| inner.spawn(|_| 21).join().unwrap() * 2)
-                .join()
-                .unwrap()
-        })
-        .unwrap();
-        assert_eq!(result, 42);
     }
 }
