@@ -2,7 +2,7 @@
 //! through `Session::apply_traffic_deltas`, from 128 up to 101,306
 //! hosts.
 //!
-//! Each delta patches the cluster's NIC ledger and re-prices the cost
+//! Each delta patches the cluster's traffic copy and re-prices the cost
 //! ledger over the changed pairs only — this bench pins the events/sec
 //! the sparse path sustains (single-pair deltas and whole-TM `ScaleAll`
 //! batches, both the expanded per-pair form a compiled trace emits and

@@ -156,10 +156,6 @@ pub struct Cluster {
     topo: Arc<dyn Topology>,
     server_spec: ServerSpec,
     vm_specs: Vec<VmSpec>,
-    /// Total traffic demand per VM: `Σ_v λ(u, v)` (upper bound on its NIC
-    /// load; the admission check refines this dynamically by excluding
-    /// intra-host pairs).
-    vm_nic_demand: Vec<f64>,
     /// The pairwise loads, kept for dynamic NIC accounting.
     traffic: PairTraffic,
     alloc: Allocation,
@@ -206,7 +202,6 @@ impl Clone for Cluster {
             topo: Arc::clone(&self.topo),
             server_spec: self.server_spec,
             vm_specs: self.vm_specs.clone(),
-            vm_nic_demand: self.vm_nic_demand.clone(),
             traffic: self.traffic.clone(),
             alloc: self.alloc.clone(),
             usage: self.usage.clone(),
@@ -268,19 +263,13 @@ impl Cluster {
                 traffic: traffic.num_vms(),
             });
         }
-        let vm_nic_demand: Vec<f64> = (0..alloc.num_vms())
-            .map(|v| traffic.peers(VmId::new(v)).iter().map(|&(_, r)| r).sum())
-            .collect();
         let mut usage = vec![ServerUsage::default(); topo.num_servers()];
         for (vm, server) in alloc.iter() {
             let u = &mut usage[server.index()];
-            // Validate slots/RAM/CPU with an unbounded NIC threshold.
-            if let Err(source) =
-                u.admission_check(&server_spec, &vm_specs[vm.index()], 0.0, f64::INFINITY)
-            {
+            if let Err(source) = u.admission_check(&server_spec, &vm_specs[vm.index()]) {
                 return Err(ClusterError::InitialOverCommit { server, source });
             }
-            u.admit(&vm_specs[vm.index()], vm_nic_demand[vm.index()]);
+            u.admit(&vm_specs[vm.index()]);
         }
         let active = vec![true; alloc.num_vms() as usize];
         let slot_index = FreeSlotIndex::new(
@@ -294,7 +283,6 @@ impl Cluster {
             topo,
             server_spec,
             vm_specs,
-            vm_nic_demand,
             traffic: traffic.clone(),
             alloc,
             usage,
@@ -351,11 +339,6 @@ impl Cluster {
     /// Spec of one VM.
     pub fn vm_spec(&self, vm: VmId) -> &VmSpec {
         &self.vm_specs[vm.index()]
-    }
-
-    /// Estimated NIC demand of one VM in bits per second.
-    pub fn vm_nic_demand(&self, vm: VmId) -> f64 {
-        self.vm_nic_demand[vm.index()]
     }
 
     /// Resource usage of one server.
@@ -426,13 +409,9 @@ impl Cluster {
         if !self.host_up[server.index()] {
             return Err(AdmissionError::HostDown);
         }
-        // Slots / RAM / CPU via the static ledger (NIC handled below).
-        self.usage[server.index()].admission_check(
-            &self.server_spec,
-            &self.vm_specs[vm.index()],
-            0.0,
-            f64::INFINITY,
-        )?;
+        // Slots / RAM / CPU via the resource ledger (NIC handled below).
+        self.usage[server.index()]
+            .admission_check(&self.server_spec, &self.vm_specs[vm.index()])?;
         if bandwidth_threshold.is_finite() {
             let incoming = self.external_rate(vm, server);
             // Pairs between `vm` and VMs already on `server` currently load
@@ -470,9 +449,8 @@ impl Cluster {
         }
         self.can_host(target, vm, bandwidth_threshold)?;
         let spec = self.vm_specs[vm.index()];
-        let nic = self.vm_nic_demand[vm.index()];
-        self.usage[current.index()].evict(&spec, nic);
-        self.usage[target.index()].admit(&spec, nic);
+        self.usage[current.index()].evict(&spec);
+        self.usage[target.index()].admit(&spec);
         self.refresh_slot_index(current);
         self.refresh_slot_index(target);
         self.alloc.move_vm(vm, target);
@@ -514,7 +492,7 @@ impl Cluster {
             .best(|i| {
                 self.host_up[i]
                     && self.usage[i]
-                        .admission_check(&self.server_spec, spec, 0.0, f64::INFINITY)
+                        .admission_check(&self.server_spec, spec)
                         .is_ok()
             })
             .map(|(_, i)| ServerId::new(i as u32))
@@ -552,20 +530,19 @@ impl Cluster {
                     });
                 }
                 self.usage[s.index()]
-                    .admission_check(&self.server_spec, &spec, 0.0, f64::INFINITY)
+                    .admission_check(&self.server_spec, &spec)
                     .map_err(|source| ClusterError::PlacementRejected { server: s, source })?;
                 s
             }
             None => self.choose_server(&spec)?,
         };
-        self.usage[target.index()].admit(&spec, 0.0);
+        self.usage[target.index()].admit(&spec);
         self.refresh_slot_index(target);
         // A zero-traffic newcomer contributes 0 to the target's external
         // load; invalidate anyway so the invariant stays local to reason
         // about (every allocation change drops the touched hosts).
         self.ext_load.invalidate(target.index());
         self.vm_specs.push(spec);
-        self.vm_nic_demand.push(0.0);
         let vm = self.traffic.push_vm();
         let placed = self.alloc.push_vm(target);
         debug_assert_eq!(vm, placed, "traffic and allocation ids diverged");
@@ -599,59 +576,18 @@ impl Cluster {
             .collect();
         self.patch_traffic(&changes);
         let server = self.alloc.server_of(vm);
-        let spec = self.vm_specs[vm.index()];
-        // The zeroing above already drained the VM's NIC demand from the
-        // per-server ledger; evict what (if any) float residue is left
-        // alongside the slot/RAM/CPU release.
-        let nic_residue = self.vm_nic_demand[vm.index()];
-        self.usage[server.index()].evict(&spec, nic_residue);
+        self.usage[server.index()].evict(&self.vm_specs[vm.index()]);
         self.refresh_slot_index(server);
-        self.vm_nic_demand[vm.index()] = 0.0;
         self.active[vm.index()] = false;
         Ok(changes)
     }
 
-    /// Rebinds the cluster to a new traffic matrix **in place**: the
-    /// allocation, server specs and VM specs carry over untouched, and
-    /// only the NIC side of the resource ledger (per-VM demand estimates
-    /// and per-server load) is re-derived from the new rates. This is
-    /// the cheap path for a traffic-phase shift — no allocation copy, no
-    /// slot/RAM/CPU re-validation (none of those depend on traffic).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ClusterError::VmCountMismatch`] if the new traffic
-    /// describes a different VM population; the cluster is unchanged on
-    /// error.
-    pub fn rebind_traffic(&mut self, traffic: &PairTraffic) -> Result<(), ClusterError> {
-        if traffic.num_vms() != self.alloc.num_vms() {
-            return Err(ClusterError::VmCountMismatch {
-                allocation: self.alloc.num_vms(),
-                specs: self.vm_specs.len(),
-                traffic: traffic.num_vms(),
-            });
-        }
-        for usage in &mut self.usage {
-            usage.nic_bps = 0.0;
-        }
-        for v in 0..self.alloc.num_vms() {
-            let vm = VmId::new(v);
-            let demand: f64 = traffic.peers(vm).iter().map(|&(_, r)| r).sum();
-            self.vm_nic_demand[vm.index()] = demand;
-            self.usage[self.alloc.server_of(vm).index()].nic_bps += demand;
-        }
-        self.traffic = traffic.clone();
-        self.ext_load.invalidate_all();
-        Ok(())
-    }
-
     /// Applies a **sparse** traffic delta in place: each change is
     /// `(u, v, old_rate, new_rate)` for one pair, where `old_rate` is
-    /// the rate this cluster currently serves. Only the NIC-side ledger
-    /// entries touched by a change are adjusted and the held traffic is
-    /// patched per pair (`O(changed pairs)`, vs
-    /// [`Cluster::rebind_traffic`]'s full re-derivation) — the path
-    /// trace replay takes for each mid-run delta.
+    /// the rate this cluster currently serves. The held traffic is
+    /// patched per pair and only the external-load cache entries of the
+    /// endpoints' hosts are dropped (`O(changed pairs)`) — the path every
+    /// traffic change takes, phase rebinds included.
     ///
     /// # Panics
     ///
@@ -661,16 +597,11 @@ impl Cluster {
         let updates: Vec<(VmId, VmId, f64)> =
             changes.iter().map(|&(u, v, _, new)| (u, v, new)).collect();
         self.traffic.apply_updates(&updates);
-        for &(u, v, old, new) in changes {
-            let delta = new - old;
-            for vm in [u, v] {
-                self.vm_nic_demand[vm.index()] += delta;
-                let server = self.alloc.server_of(vm);
-                self.usage[server.index()].nic_bps += delta;
-                // A pair-rate change moves both endpoints' hosts' external
-                // loads (a no-op when they share a host, but harmless).
-                self.ext_load.invalidate(server.index());
-            }
+        for &(u, v, _, _) in changes {
+            // A pair-rate change moves both endpoints' hosts' external
+            // loads (a no-op when they share a host, but harmless).
+            self.ext_load.invalidate(self.alloc.server_of(u).index());
+            self.ext_load.invalidate(self.alloc.server_of(v).index());
         }
     }
 
@@ -685,15 +616,10 @@ impl Cluster {
         let mut usage = vec![ServerUsage::default(); self.usage.len()];
         for (vm, server) in alloc.iter() {
             let u = &mut usage[server.index()];
-            if let Err(source) = u.admission_check(
-                &self.server_spec,
-                &self.vm_specs[vm.index()],
-                0.0,
-                f64::INFINITY,
-            ) {
+            if let Err(source) = u.admission_check(&self.server_spec, &self.vm_specs[vm.index()]) {
                 return Err(ClusterError::InitialOverCommit { server, source });
             }
-            u.admit(&self.vm_specs[vm.index()], self.vm_nic_demand[vm.index()]);
+            u.admit(&self.vm_specs[vm.index()]);
         }
         self.alloc = alloc;
         self.usage = usage;
@@ -708,13 +634,11 @@ impl Cluster {
 
     /// Rescales every pair rate by `factor` **in place** — the dense
     /// (`ScaleAll`) fast path. The held traffic takes one contiguous
-    /// sweep ([`score_traffic::PairTraffic::scale_all_in_place`]) and
-    /// the NIC-side ledger (per-VM demand estimates, per-server load) is
-    /// rescaled directly instead of being re-derived pair by pair:
-    /// O(VMs + servers + pairs) with a vectorizable inner loop, versus
-    /// the O(pairs) search-cascade the expanded per-pair delta path
-    /// costs. Slot/RAM/CPU state is untouched (none of it depends on
-    /// traffic).
+    /// sweep ([`score_traffic::PairTraffic::scale_all_in_place`]) with a
+    /// vectorizable inner loop, versus the O(pairs) search-cascade the
+    /// expanded per-pair delta path costs, and every host's external
+    /// load is dropped. Slot/RAM/CPU state is untouched (none of it
+    /// depends on traffic).
     ///
     /// # Panics
     ///
@@ -725,12 +649,6 @@ impl Cluster {
             "factor must be positive"
         );
         self.traffic.scale_all_in_place(factor);
-        for d in &mut self.vm_nic_demand {
-            *d = (*d * factor).min(f64::MAX);
-        }
-        for u in &mut self.usage {
-            u.nic_bps = (u.nic_bps * factor).min(f64::MAX);
-        }
         self.ext_load.invalidate_all();
     }
 
@@ -826,8 +744,8 @@ mod tests {
         let c = cluster(32, 16);
         assert_eq!(c.num_vms(), 32);
         assert_eq!(c.usage(ServerId::new(0)).slots, 2);
-        assert_eq!(c.vm_nic_demand(VmId::new(0)), 100.0);
-        assert_eq!(c.vm_nic_demand(VmId::new(5)), 0.0);
+        assert_eq!(c.host_external_load(ServerId::new(0)), 100.0);
+        assert_eq!(c.host_external_load(ServerId::new(5)), 0.0);
         assert_eq!(c.capacity_report(ServerId::new(0)).free_slots, 14);
     }
 
@@ -838,8 +756,9 @@ mod tests {
         assert_eq!(c.allocation().server_of(VmId::new(0)), ServerId::new(3));
         assert_eq!(c.usage(ServerId::new(0)).slots, 0);
         assert_eq!(c.usage(ServerId::new(3)).slots, 2);
-        // NIC demand moved with it.
-        assert!((c.usage(ServerId::new(3)).nic_bps - 100.0).abs() < 1e-9);
+        // Its external NIC load moved with it.
+        assert_eq!(c.host_external_load(ServerId::new(3)), 100.0);
+        assert_eq!(c.host_external_load(ServerId::new(0)), 0.0);
     }
 
     #[test]
@@ -1016,58 +935,26 @@ mod tests {
         warm(&c);
         let mut b = PairTrafficBuilder::new(c.num_vms());
         b.add(VmId::new(4), VmId::new(9), 77.0);
-        c.rebind_traffic(&b.build()).unwrap();
+        let rebind = c.traffic.diff(&b.build());
+        c.patch_traffic(&rebind);
         check(&c);
-    }
-
-    #[test]
-    fn rebind_traffic_patches_nic_ledger_in_place() {
-        let mut c = cluster(4, 16);
-        let before_alloc = c.allocation().clone();
-        assert_eq!(c.vm_nic_demand(VmId::new(0)), 100.0);
-        // New matrix: the (0,1) pair disappears, (2,3) appears at 40.
-        let mut b = PairTrafficBuilder::new(4);
-        b.add(VmId::new(2), VmId::new(3), 40.0);
-        c.rebind_traffic(&b.build()).unwrap();
-        // Allocation and slot/RAM usage carry over untouched.
-        assert_eq!(c.allocation(), &before_alloc);
-        assert_eq!(c.usage(ServerId::new(0)).slots, 1);
-        // NIC accounting reflects the new rates.
-        assert_eq!(c.vm_nic_demand(VmId::new(0)), 0.0);
-        assert_eq!(c.vm_nic_demand(VmId::new(2)), 40.0);
-        assert!((c.usage(ServerId::new(2)).nic_bps - 40.0).abs() < 1e-9);
-        assert_eq!(c.usage(ServerId::new(0)).nic_bps, 0.0);
-        // A population mismatch is rejected and leaves the cluster alone.
-        let err = c.rebind_traffic(&traffic(5)).unwrap_err();
-        assert!(matches!(err, ClusterError::VmCountMismatch { .. }));
-        assert_eq!(c.vm_nic_demand(VmId::new(2)), 40.0);
     }
 
     #[test]
     fn patch_traffic_adjusts_only_changed_pairs() {
         let mut c = cluster(4, 16);
-        assert_eq!(c.vm_nic_demand(VmId::new(0)), 100.0);
         // (0,1) re-rated to 60, (2,3) appears at 40.
         let changes = [
             (VmId::new(0), VmId::new(1), 100.0, 60.0),
             (VmId::new(2), VmId::new(3), 0.0, 40.0),
         ];
         c.patch_traffic(&changes);
-        assert_eq!(c.vm_nic_demand(VmId::new(0)), 60.0);
-        assert_eq!(c.vm_nic_demand(VmId::new(3)), 40.0);
-        assert!((c.usage(ServerId::new(2)).nic_bps - 40.0).abs() < 1e-9);
-        assert!((c.usage(ServerId::new(0)).nic_bps - 60.0).abs() < 1e-9);
-        // The held traffic was patched in place to the same rates …
+        // The held traffic was patched in place to the same rates.
         assert_eq!(c.external_rate(VmId::new(2), ServerId::new(5)), 40.0);
-        // … and the patched ledger matches what a full rebind derives.
-        let patched = c.traffic.clone();
-        let mut full = c.clone();
-        full.rebind_traffic(&patched).unwrap();
-        for v in 0..4 {
-            assert!(
-                (c.vm_nic_demand(VmId::new(v)) - full.vm_nic_demand(VmId::new(v))).abs() < 1e-9
-            );
-        }
+        let mut b = PairTrafficBuilder::new(4);
+        b.add(VmId::new(0), VmId::new(1), 60.0);
+        b.add(VmId::new(2), VmId::new(3), 40.0);
+        assert_eq!(c.traffic.pairs(), b.build().pairs());
     }
 
     #[test]
@@ -1080,7 +967,7 @@ mod tests {
         assert_eq!(c.num_active(), 5);
         assert!(c.is_active(vm));
         assert_eq!(c.allocation().server_of(vm), server);
-        assert_eq!(c.vm_nic_demand(vm), 0.0);
+        assert_eq!(c.host_external_load(server), 0.0);
         // Chooses an empty server (most free slots, lowest id wins): the
         // base cluster packs VMs 0..4 onto servers 0..4.
         assert_eq!(server, ServerId::new(4));
@@ -1120,8 +1007,7 @@ mod tests {
         assert!(!c.is_active(VmId::new(0)));
         assert_eq!(c.num_active(), 3);
         assert_eq!(c.usage(ServerId::new(0)).slots, 0);
-        assert_eq!(c.usage(ServerId::new(0)).nic_bps, 0.0);
-        assert_eq!(c.vm_nic_demand(VmId::new(1)), 0.0);
+        assert_eq!(c.host_external_load(ServerId::new(1)), 0.0);
         assert_eq!(c.external_rate(VmId::new(1), ServerId::new(5)), 0.0);
         // Double removal and unknown ids are rejected.
         assert!(matches!(
@@ -1143,18 +1029,11 @@ mod tests {
     fn scale_traffic_matches_patched_rates() {
         let mut scaled = cluster(4, 16);
         scaled.scale_traffic(10.0);
-        assert_eq!(scaled.vm_nic_demand(VmId::new(0)), 1000.0);
         assert_eq!(scaled.external_rate(VmId::new(0), ServerId::new(5)), 1000.0);
-        assert!((scaled.usage(ServerId::new(0)).nic_bps - 1000.0).abs() < 1e-9);
         // Matches the sparse patch path applying the same rates.
         let mut patched = cluster(4, 16);
         patched.patch_traffic(&[(VmId::new(0), VmId::new(1), 100.0, 1000.0)]);
-        for v in 0..4 {
-            assert!(
-                (scaled.vm_nic_demand(VmId::new(v)) - patched.vm_nic_demand(VmId::new(v))).abs()
-                    < 1e-9
-            );
-        }
+        assert_eq!(scaled.traffic.pairs(), patched.traffic.pairs());
         // Slot/RAM state is untouched.
         assert_eq!(scaled.usage(ServerId::new(0)).slots, 1);
     }

@@ -13,10 +13,10 @@
 //! * **migration** — every accepted move already computed its Lemma-3
 //!   delta `ΔC`; [`CostLedger::apply_gain`] folds it in, making the
 //!   update `O(1)` on top of the `O(|Vu|)` the decision itself paid;
-//! * **traffic rebind** — when a phase swaps the traffic matrix under an
-//!   unchanged allocation, [`CostLedger::rebind`] merge-joins the two
-//!   canonical pair lists and only re-prices pairs whose rate actually
-//!   changed (`O(changed pairs)` level lookups);
+//! * **traffic change** — every re-rate, removal and phase rebind is one
+//!   sparse change set `(u, v, old, new)` (a rebind's comes from
+//!   `PairTraffic::diff`); [`CostLedger::apply_rate_changes`] re-prices
+//!   exactly those pairs (`O(changed pairs)` level lookups);
 //! * **sampling** — [`CostLedger::current`] is a field read, `O(1)`.
 //!
 //! Lemma 3 guarantees the delta equals the difference of full
@@ -70,20 +70,6 @@ impl LedgerShards {
         self.per_zone[self.zone_of_rack[ra.index()] as usize] += half;
         self.per_zone[self.zone_of_rack[rb.index()] as usize] += half;
         self.merged.set(None);
-    }
-
-    /// Attributes a pair's price delta via its endpoints' current racks.
-    fn attribute_pair<T: Topology + ?Sized>(
-        &mut self,
-        alloc: &Allocation,
-        topo: &T,
-        u: VmId,
-        v: VmId,
-        price_delta: f64,
-    ) {
-        let ra = topo.rack_of(alloc.server_of(u));
-        let rb = topo.rack_of(alloc.server_of(v));
-        self.attribute_racks(ra, rb, price_delta);
     }
 
     /// The lazily merged Σ-over-zones sample.
@@ -228,8 +214,8 @@ impl CostLedger {
     }
 
     /// Turns on per-rack/zone cost sharding, paying one full pair pass
-    /// to seed the partials. From here on every sparse delta, rebind
-    /// and [`CostLedger::apply_migration_shards`] call keeps the shards
+    /// to seed the partials. From here on every sparse change set and
+    /// [`CostLedger::apply_migration_shards`] call keeps the shards
     /// in step; `total` remains the authoritative (byte-identical)
     /// ledger value and the shards stay within 1e-9 relative of it.
     pub fn enable_sharding<T: Topology + ?Sized>(
@@ -377,81 +363,11 @@ impl CostLedger {
         }
     }
 
-    /// Re-prices the ledger for a traffic rebind: `old` is replaced by
-    /// `new` while the allocation stays fixed. Merge-joins the two
-    /// canonical (sorted, `u < v`) pair lists and adjusts the total only
-    /// for pairs whose rate changed, appeared, or disappeared — level
-    /// lookups are paid per *changed* pair, not per pair.
-    ///
-    /// Both traffic matrices must describe the same VM population.
-    pub fn rebind<T: Topology + ?Sized>(
-        &mut self,
-        alloc: &Allocation,
-        old: &PairTraffic,
-        new: &PairTraffic,
-        topo: &T,
-    ) {
-        debug_assert_eq!(old.num_vms(), new.num_vms(), "populations must match");
-        let mut shards = self.shards.take();
-        let weights = self.model.weights();
-        let price = |u: score_topology::VmId, v: score_topology::VmId, rate: f64| {
-            2.0 * rate * weights.prefix(topo.level(alloc.server_of(u), alloc.server_of(v)))
-        };
-        let note = |shards: &mut Option<LedgerShards>, u, v, price_delta: f64| {
-            if let Some(s) = shards.as_mut() {
-                s.attribute_pair(alloc, topo, u, v, price_delta);
-            }
-        };
-        let (old_pairs, new_pairs) = (old.pairs(), new.pairs());
-        let (mut i, mut j) = (0, 0);
-        let mut delta = 0.0;
-        while i < old_pairs.len() && j < new_pairs.len() {
-            let (ou, ov, or) = old_pairs[i];
-            let (nu, nv, nr) = new_pairs[j];
-            match (ou, ov).cmp(&(nu, nv)) {
-                std::cmp::Ordering::Less => {
-                    let p = price(ou, ov, or);
-                    delta -= p;
-                    note(&mut shards, ou, ov, -p);
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    let p = price(nu, nv, nr);
-                    delta += p;
-                    note(&mut shards, nu, nv, p);
-                    j += 1;
-                }
-                std::cmp::Ordering::Equal => {
-                    if or != nr {
-                        let p = price(nu, nv, nr - or);
-                        delta += p;
-                        note(&mut shards, nu, nv, p);
-                    }
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        for &(u, v, r) in &old_pairs[i..] {
-            let p = price(u, v, r);
-            delta -= p;
-            note(&mut shards, u, v, -p);
-        }
-        for &(u, v, r) in &new_pairs[j..] {
-            let p = price(u, v, r);
-            delta += p;
-            note(&mut shards, u, v, p);
-        }
-        self.total += delta;
-        self.shards = shards;
-    }
-
     /// Re-prices the ledger for a **sparse** traffic delta: each entry
     /// is one changed pair `(u, v, old_rate, new_rate)` under an
-    /// unchanged allocation. Strictly `O(changed pairs)` — unlike
-    /// [`CostLedger::rebind`], the untouched pair lists are never
-    /// walked, which is what makes trace replay (hundreds of mid-run
-    /// deltas) cheap.
+    /// unchanged allocation. Strictly `O(changed pairs)` — the untouched
+    /// pairs are never walked, which is what makes trace replay
+    /// (hundreds of mid-run deltas) cheap.
     ///
     /// The caller is responsible for `old_rate` being the rate the
     /// ledger last priced for that pair (trace replay reads it off the
@@ -459,7 +375,7 @@ impl CostLedger {
     pub fn apply_rate_changes<T: Topology + ?Sized>(
         &mut self,
         alloc: &Allocation,
-        changes: &[(score_topology::VmId, score_topology::VmId, f64, f64)],
+        changes: &[(VmId, VmId, f64, f64)],
         topo: &T,
     ) {
         let mut shards = self.shards.take();
@@ -583,7 +499,9 @@ mod tests {
         b.add(VmId::new(0), VmId::new(2), 7.0); // re-rated
         b.add(VmId::new(1), VmId::new(3), 4.0); // added; (2,3) dropped
         let new = b.build();
-        ledger.rebind(&a, &t, &new, &topo);
+        let changes = t.diff(&new);
+        assert_eq!(changes.len(), 3, "the kept pair is not re-priced");
+        ledger.apply_rate_changes(&a, &changes, &topo);
         assert!(
             (ledger.current() - model.total_cost(&a, &new, &topo)).abs() < 1e-9,
             "rebind must land on the full recomputation"
@@ -596,9 +514,9 @@ mod tests {
         let model = CostModel::paper_default();
         let mut ledger = CostLedger::new(model.clone(), &a, &t, &topo);
         let empty = PairTraffic::empty(4);
-        ledger.rebind(&a, &t, &empty, &topo);
+        ledger.apply_rate_changes(&a, &t.diff(&empty), &topo);
         assert_eq!(ledger.current(), 0.0);
-        ledger.rebind(&a, &empty, &t, &topo);
+        ledger.apply_rate_changes(&a, &empty.diff(&t), &topo);
         assert!(ledger.drift(&a, &t, &topo) < 1e-9);
     }
 
@@ -678,7 +596,7 @@ mod tests {
         b.add(VmId::new(1), VmId::new(3), 4.0);
         b.add(VmId::new(2), VmId::new(3), 1.0);
         let cur = b.build();
-        ledger.rebind(&a, &cur, &t, &topo);
+        ledger.apply_rate_changes(&a, &cur.diff(&t), &topo);
         assert_shards_coherent(&ledger);
         assert_eq!(ledger.resyncs(), 0, "no full pass on the sharded path");
     }

@@ -1,7 +1,7 @@
 //! Property-based tests for the incremental cost ledger.
 //!
 //! The invariant: a [`CostLedger`] fed only Lemma-3 deltas (for accepted
-//! migrations) and pair-diff rebinds (for traffic-phase shifts) must
+//! migrations) and pair-diff change sets (for traffic-phase shifts) must
 //! agree with a fresh Eq.-(2) recomputation after *any* interleaving of
 //! those operations — on both paper fabrics. The tolerance is 1e-9
 //! relative: the ledger and the recomputation sum the same terms in
@@ -90,10 +90,9 @@ fn check_interleaving(topo: Arc<dyn Topology>, seed: u64, ops: &[Op]) -> Result<
             }
             Op::Rebind { workload_seed } => {
                 let next = WorkloadConfig::new(NUM_VMS, workload_seed).generate();
-                cluster
-                    .rebind_traffic(&next)
-                    .expect("same population always rebinds");
-                ledger.rebind(cluster.allocation(), &traffic, &next, cluster.topo());
+                let changes = traffic.diff(&next);
+                cluster.patch_traffic(&changes);
+                ledger.apply_rate_changes(cluster.allocation(), &changes, cluster.topo());
                 traffic = next;
             }
         }
@@ -146,15 +145,15 @@ proptest! {
         let mut ledger = model.ledger(&alloc, &a, &topo);
 
         // Same pattern, re-rated (exercises the rate-change arm of the
-        // merge-join, not just insert/remove).
+        // diff, not just insert/remove).
         let scaled = a.scaled(f64::from(scale_milli) / 1000.0);
-        ledger.rebind(&alloc, &a, &scaled, &topo);
+        ledger.apply_rate_changes(&alloc, &a.diff(&scaled), &topo);
         let fresh = model.total_cost(&alloc, &scaled, &topo);
         prop_assert!((ledger.current() - fresh).abs() <= 1e-9 * fresh.max(1.0));
 
         // Unrelated pattern (inserts + removals dominate).
         let b = WorkloadConfig::new(NUM_VMS, seed_b).generate();
-        ledger.rebind(&alloc, &scaled, &b, &topo);
+        ledger.apply_rate_changes(&alloc, &scaled.diff(&b), &topo);
         let fresh = model.total_cost(&alloc, &b, &topo);
         prop_assert!((ledger.current() - fresh).abs() <= 1e-9 * fresh.max(1.0));
 
@@ -162,7 +161,7 @@ proptest! {
         // noise relative to the magnitude that was subtracted out.
         let scale = fresh.max(1.0);
         let empty = PairTraffic::empty(NUM_VMS);
-        ledger.rebind(&alloc, &b, &empty, &topo);
+        ledger.apply_rate_changes(&alloc, &b.diff(&empty), &topo);
         prop_assert!(
             ledger.current().abs() <= 1e-9 * scale,
             "residual {} after removing a cost of scale {scale}",

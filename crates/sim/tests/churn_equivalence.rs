@@ -9,9 +9,9 @@
 //!
 //! * every canonical pair rate matches the reference map exactly;
 //! * the pair count and the canonical `pairs()` ordering match;
-//! * per-VM NIC demand matches the reference recomputation to ≤ 1e-9
-//!   relative (the cluster maintains it incrementally through the
-//!   handle store);
+//! * every live host's external NIC load (the view bandwidth admission
+//!   reads, memoized per host by the cluster) matches a recomputation
+//!   from the reference map to ≤ 1e-9 relative;
 //! * the incremental cost ledger stays within 1e-9 relative of a full
 //!   Eq.-(2) pass over the reference-rebuilt matrix, with zero resyncs.
 
@@ -93,17 +93,23 @@ fn check_equivalence(session: &Session, reference: &BTreeMap<(u32, u32), f64>, l
     let canonical: Vec<(u32, u32)> = reference.keys().copied().collect();
     let observed: Vec<(u32, u32)> = pairs.iter().map(|&(u, v, _)| (u.get(), v.get())).collect();
     assert_eq!(observed, canonical, "pairs() lost canonical order");
-    // Incremental NIC demand matches a reference recomputation.
+    // Memoized host NIC loads match a recomputation from the reference.
+    let cluster = session.cluster();
+    let alloc = cluster.allocation();
+    let mut expect = vec![0.0f64; cluster.topo().num_servers()];
+    for (&(u, v), &r) in reference {
+        let (su, sv) = (alloc.server_of(VmId::new(u)), alloc.server_of(VmId::new(v)));
+        if su != sv {
+            expect[su.index()] += r;
+            expect[sv.index()] += r;
+        }
+    }
     for &vm in live {
-        let expect: f64 = reference
-            .iter()
-            .filter(|&(&(u, v), _)| u == vm || v == vm)
-            .map(|(_, &r)| r)
-            .sum();
-        let got = session.cluster().vm_nic_demand(VmId::new(vm));
+        let host = alloc.server_of(VmId::new(vm));
+        let (got, want) = (cluster.host_external_load(host), expect[host.index()]);
         assert!(
-            (got - expect).abs() <= 1e-9 * expect.max(1.0),
-            "vm{vm} NIC demand {got} diverged from reference {expect}"
+            (got - want).abs() <= 1e-9 * want.max(1.0),
+            "{host} NIC load {got} diverged from reference {want}"
         );
     }
     // The incremental ledger matches a full Eq.-(2) pass, resync-free.

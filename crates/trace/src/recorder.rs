@@ -2,9 +2,9 @@
 //! applied back into a replayable [`Trace`] (ROADMAP open item).
 //!
 //! A [`TraceRecorder`] is seeded with the TM a session started on and
-//! fed every applied re-rate batch (plus wholesale rebinds at phase
-//! boundaries, which it records as a marker followed by the per-pair
-//! re-rates). [`TraceRecorder::finish`] closes the stream into a
+//! fed every applied re-rate batch (a phase boundary is a marker
+//! followed by the re-rate batch turning one phase's TM into the
+//! next's). [`TraceRecorder::finish`] closes the stream into a
 //! validated [`Trace`], so a measured run replays through the same
 //! compile → segment → delta-batch machinery as a synthetic one —
 //! including the oracle forecaster, which can then "read ahead" into a
@@ -126,49 +126,17 @@ impl TraceRecorder {
         });
     }
 
-    /// Records a phase boundary at `at_s`: a [`TraceEvent::Marker`]
-    /// followed by the per-pair re-rates turning `old` into `new`
-    /// (pairs vanishing from `new` are set to 0). Replaying the
-    /// recorded trace reproduces the rebind as the next segment's
-    /// initial TM — boundary events fold into it at compile time.
-    pub fn record_rebind(
-        &mut self,
-        at_s: f64,
-        label: impl Into<String>,
-        old: &PairTraffic,
-        new: &PairTraffic,
-    ) {
+    /// Records a phase boundary at `at_s` (a [`TraceEvent::Marker`]).
+    /// Callers follow it with the boundary's re-rates via
+    /// [`TraceRecorder::record_updates`]; replaying the recorded trace
+    /// folds those into the next segment's initial TM at compile time.
+    pub fn record_marker(&mut self, at_s: f64, label: impl Into<String>) {
         self.events.push(TimedEvent {
             time_s: at_s,
             event: TraceEvent::Marker {
                 label: label.into(),
             },
         });
-        for (u, v, old_rate) in old.pairs() {
-            let new_rate = new.rate(u, v);
-            if new_rate != old_rate {
-                self.events.push(TimedEvent {
-                    time_s: at_s,
-                    event: TraceEvent::SetRate {
-                        u: u.get(),
-                        v: v.get(),
-                        rate: new_rate,
-                    },
-                });
-            }
-        }
-        for (u, v, rate) in new.pairs() {
-            if old.rate(u, v) == 0.0 {
-                self.events.push(TimedEvent {
-                    time_s: at_s,
-                    event: TraceEvent::SetRate {
-                        u: u.get(),
-                        v: v.get(),
-                        rate,
-                    },
-                });
-            }
-        }
     }
 
     /// Closes the recording into a validated [`Trace`] lasting `end_s`
@@ -265,7 +233,13 @@ mod tests {
         let a = tm(&[(0, 1, 10.0), (2, 3, 5.0)]);
         let b = tm(&[(0, 1, 20.0), (1, 2, 4.0)]);
         let mut rec = TraceRecorder::new(&a);
-        rec.record_rebind(15.0, "phase-2", &a, &b);
+        rec.record_marker(15.0, "phase-2");
+        let rerates: Vec<(u32, u32, f64)> = a
+            .diff(&b)
+            .iter()
+            .map(|&(u, v, _, new)| (u.get(), v.get(), new))
+            .collect();
+        rec.record_updates(15.0, &rerates);
         let trace = rec.finish(40.0).unwrap();
         let compiled = trace.compile();
         assert_eq!(compiled.segments.len(), 2);

@@ -557,6 +557,44 @@ impl PairTraffic {
         self.canonical = false;
     }
 
+    /// The sparse change set turning `self` into `target`: one
+    /// `(u, v, old, new)` entry per pair whose rate differs (appearing
+    /// pairs have `old = 0`, vanishing ones `new = 0`), in canonical
+    /// `(u, v)` order — one merge-join of the two canonical pair lists.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two graphs describe different VM populations.
+    pub fn diff(&self, target: &PairTraffic) -> Vec<(VmId, VmId, f64, f64)> {
+        assert_eq!(self.num_vms, target.num_vms, "VM populations differ");
+        let (old, new) = (self.pairs(), target.pairs());
+        let (mut i, mut j) = (0, 0);
+        let mut changes = Vec::new();
+        while i < old.len() && j < new.len() {
+            let ((ou, ov, or), (nu, nv, nr)) = (old[i], new[j]);
+            match (ou, ov).cmp(&(nu, nv)) {
+                std::cmp::Ordering::Less => {
+                    changes.push((ou, ov, or, 0.0));
+                    i += 1;
+                }
+                std::cmp::Ordering::Greater => {
+                    changes.push((nu, nv, 0.0, nr));
+                    j += 1;
+                }
+                std::cmp::Ordering::Equal => {
+                    if or != nr {
+                        changes.push((ou, ov, or, nr));
+                    }
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        changes.extend(old[i..].iter().map(|&(u, v, r)| (u, v, r, 0.0)));
+        changes.extend(new[j..].iter().map(|&(u, v, r)| (u, v, 0.0, r)));
+        changes
+    }
+
     /// Returns a copy with the given absolute-rate updates applied —
     /// [`PairTraffic::apply_updates`] on a clone.
     ///

@@ -38,6 +38,25 @@ proptest! {
     }
 
     #[test]
+    fn diff_turns_old_into_new(seed_a in 0u64..200, seed_b in 0u64..200, keep in 0usize..8) {
+        // Two matrices sharing some pairs (re-rated, kept, dropped and
+        // added pairs all occur): the change set applied to `old` must
+        // yield exactly `new`'s pairs, in canonical order.
+        let old = WorkloadConfig::new(32, seed_a).generate();
+        let fresh = WorkloadConfig::new(32, seed_b).generate();
+        let kept: Vec<_> = old.pairs().into_iter().step_by(keep + 1).collect();
+        let new = fresh.updated(
+            &kept.iter().map(|&(u, v, r)| (u, v, r * 1.5)).collect::<Vec<_>>(),
+        );
+        let changes = old.diff(&new);
+        prop_assert!(changes.windows(2).all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1)));
+        prop_assert!(changes.iter().all(|&(u, v, o, n)| u < v && o != n && old.rate(u, v) == o));
+        let updates: Vec<_> = changes.iter().map(|&(u, v, _, n)| (u, v, n)).collect();
+        prop_assert_eq!(old.updated(&updates).pairs(), new.pairs());
+        prop_assert!(old.diff(&old).is_empty());
+    }
+
+    #[test]
     fn scaling_is_linear(factor in 0.1f64..100.0, seed in 0u64..50) {
         let t = WorkloadConfig::new(60, seed).generate();
         let s = t.scaled(factor);

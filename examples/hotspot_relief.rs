@@ -41,10 +41,11 @@ fn main() {
     describe("s-core", score_session.cluster(), score_session.traffic());
 
     // Remedy balances utilization instead.
-    let mut remedy_session = scenario.session().expect("preset scenario is feasible");
-    let (cluster, traffic) = remedy_session.split_mut();
-    let result = Remedy::new(RemedyConfig::paper_default()).run(cluster, traffic);
-    describe("remedy", remedy_session.cluster(), remedy_session.traffic());
+    let remedy_session = scenario.session().expect("preset scenario is feasible");
+    let mut remedy_cluster = remedy_session.cluster().clone();
+    let result = Remedy::new(RemedyConfig::paper_default())
+        .run(&mut remedy_cluster, remedy_session.traffic());
+    describe("remedy", &remedy_cluster, remedy_session.traffic());
 
     println!(
         "\nS-CORE migrated {} VMs and cut communication cost by {:.1}%;",

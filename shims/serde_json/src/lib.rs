@@ -64,6 +64,7 @@ pub fn parse_value_str(s: &str) -> Result<Value, Error> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -160,9 +161,16 @@ fn write_string(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Array/object nesting limit — upstream `serde_json`'s default. The
+/// parser recurses once per level, so without a limit a single line of
+/// `[`s overflows the stack of whatever thread parses it.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -207,8 +215,8 @@ impl Parser<'_> {
             Some(b't') if self.eat_keyword("true") => Ok(Value::Bool(true)),
             Some(b'f') if self.eat_keyword("false") => Ok(Value::Bool(false)),
             Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
             other => Err(Error::custom(format!(
                 "unexpected {:?} at byte {}",
@@ -216,6 +224,21 @@ impl Parser<'_> {
                 self.pos
             ))),
         }
+    }
+
+    /// Parses one array/object level, refusing to open more than
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error::custom(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Value, Error> {
@@ -395,6 +418,17 @@ mod tests {
             write_value(&mut out, &v, None, 0);
             assert_eq!(out, json);
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_at_the_upstream_limit() {
+        let deep = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse_value_str(&deep(MAX_DEPTH)).is_ok());
+        let err = parse_value_str(&deep(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.to_string().contains("nesting"), "{err}");
+        // Far past the limit is an error too, not a stack overflow.
+        assert!(parse_value_str(&"[".repeat(100_000)).is_err());
+        assert!(parse_value_str(&"{\"a\":".repeat(100_000)).is_err());
     }
 
     #[test]

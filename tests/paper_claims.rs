@@ -101,12 +101,14 @@ fn score_outperforms_remedy() {
     let report = score_session.report();
     let score_reduction = 1.0 - report.final_cost / initial;
 
-    let mut remedy_session = scenario.session().expect("preset scenario is feasible");
-    {
-        let (cluster, traffic) = remedy_session.split_mut();
-        Remedy::new(RemedyConfig::paper_default()).run(cluster, traffic);
-    }
-    let remedy_cost = remedy_session.current_cost();
+    let remedy_session = scenario.session().expect("preset scenario is feasible");
+    let mut remedy_cluster = remedy_session.cluster().clone();
+    Remedy::new(RemedyConfig::paper_default()).run(&mut remedy_cluster, remedy_session.traffic());
+    let remedy_cost = remedy_session.cost_model().total_cost(
+        remedy_cluster.allocation(),
+        remedy_session.traffic(),
+        remedy_cluster.topo(),
+    );
     let remedy_reduction = 1.0 - remedy_cost / initial;
 
     assert!(
@@ -124,9 +126,9 @@ fn score_outperforms_remedy() {
     )
     .utilization_cdf(Level::CORE);
     let remedy_core = LinkLoadMap::compute(
-        remedy_session.cluster().allocation(),
+        remedy_cluster.allocation(),
         remedy_session.traffic(),
-        remedy_session.cluster().topo(),
+        remedy_cluster.topo(),
     )
     .utilization_cdf(Level::CORE);
     let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
